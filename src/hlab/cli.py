@@ -13,13 +13,11 @@ import sys
 from typing import Optional
 
 from ._scalar import Rat, format_rat
-from .geometry import ConvexPolygon, Segment
+from .geometry import Segment
 from .convex_ops import hausdorff_union
 from .continuity import (
     DomainError,
     ModulusReport,
-    delta_left,
-    delta_right,
     f_eval,
     grid_oracle_hausdorff,
     modulus_scan,
@@ -100,10 +98,9 @@ def cmd_witness(args) -> int:
         epsilon = scene.epsilon
     else:
         raise SceneFormatError("epsilon: missing from scene and not given with --epsilon")
-    A, B, n = scene.A, scene.B, scene.norm
-    right_rep, left_rep = verify_modulus(A, B, r, epsilon, n)
+    right_rep, left_rep = verify_modulus(scene.A, scene.B, r, epsilon, scene.norm)
     if args.side == "right":
-        w = delta_right(A, B, r, epsilon, n)
+        w = right_rep.witness
         doc = {
             "side": "right",
             "r": format_rat(r),
@@ -114,7 +111,9 @@ def cmd_witness(args) -> int:
             "verification": _report_json(right_rep),
         }
     else:
-        w = delta_left(A, B, r, epsilon, n)
+        w = left_rep.witness
+        if w is None:
+            raise DomainError("left witness needs r strictly above set distance")
         doc = {
             "side": "left",
             "r": format_rat(r),
@@ -194,7 +193,10 @@ def cmd_oracle(args) -> int:
     scene = load_scene(args.scene)
     step = parse_rational(args.step, "--step")
     exact = hausdorff_union([scene.A], list(scene.b_parts), scene.norm)
-    lo, hi = grid_oracle_hausdorff(scene.A, list(scene.b_parts), scene.norm, step)
+    try:
+        lo, hi = grid_oracle_hausdorff(scene.A, list(scene.b_parts), scene.norm, step)
+    except ValueError as exc:  # step not positive, or too coarse to sample a part
+        raise UsageError(f"--step: {exc}") from exc
     _emit({
         "step": format_rat(step),
         "exact": format_rat(exact),

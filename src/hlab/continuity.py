@@ -19,23 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ._scalar import R0, R1, Rat, rat, rat_ceil, rat_floor
-from .geometry import (
-    ConvexPolygon,
-    Membership,
-    Point,
-    Segment,
-    clip_segment,
-    contains_point,
-)
+from .geometry import ConvexPolygon, Point, Segment, clip_segment
 from .norms import PolyhedralNorm
-from .convex_ops import (
-    hausdorff,
-    intersect,
-    neighborhood,
-    point_distance,
-    segment_distance,
-    set_distance,
-)
+from .convex_ops import hausdorff, intersect, neighborhood, segment_distance, set_distance
 
 
 class DomainError(ValueError):
@@ -43,16 +29,15 @@ class DomainError(ValueError):
 
 
 def f_eval(A: ConvexPolygon, B: ConvexPolygon, r: Rat, n: PolyhedralNorm) -> ConvexPolygon:
-    """f(r) = B_r(A) n B; defined for r >= |A B| and then non-empty."""
-    if r < set_distance(A, B, n):
+    """f(r) = B_r(A) n B; defined for r >= |A B| and then non-empty.
+
+    Both sets are closed and the clip is exact, so it is empty exactly when
+    r < |A B|: emptiness is the domain test.
+    """
+    M = intersect(neighborhood(A, r, n), B) if r >= 0 else None
+    if M is None:
         raise DomainError("radius below set distance")
-    M = intersect(neighborhood(A, r, n), B)
-    assert M is not None
     return M
-
-
-def _boundary_edges(P: ConvexPolygon) -> list[Segment]:
-    return P.edges()
 
 
 @dataclass(frozen=True)
@@ -74,7 +59,7 @@ def delta_right(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
     M = f_eval(A, B, r, n)
     N = neighborhood(M, epsilon, n)
     K = []
-    for e in _boundary_edges(N):
+    for e in N.edges():
         c = clip_segment(e, B)
         if c is not None:
             K.append(c)
@@ -82,7 +67,8 @@ def delta_right(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
         return RightWitness(epsilon, M, (), None)
     BrA = neighborhood(A, r, n)
     delta = min(segment_distance(seg, BrA, n) for seg in K)
-    assert delta > 0
+    if delta <= 0:
+        raise AssertionError("right witness certification failed: delta <= 0")
     return RightWitness(epsilon, M, tuple(K), delta)
 
 
@@ -97,23 +83,25 @@ class LeftWitness:
     delta: Rat
 
 
-def _nearest_point_of_B(A: ConvexPolygon, B: ConvexPolygon, n: PolyhedralNorm) -> Point:
-    """Lexicographically smallest p in B with |p A| = |A B|."""
-    d = set_distance(A, B, n)
+def _nearest_point_of_B(A: ConvexPolygon, B: ConvexPolygon, d: Rat,
+                        n: PolyhedralNorm) -> Point:
+    """Lexicographically smallest p in B with |p A| = d = |A B|."""
     if d == 0:
         common = intersect(A, B)
-        assert common is not None
+        if common is None:
+            raise AssertionError("nearest point certification failed: A and B do not meet")
         return common.vertices[0]  # canonical order starts at the lex-min
     shell = neighborhood(A, d, n)
     best: Optional[Point] = None
-    for e in _boundary_edges(shell):
+    for e in shell.edges():
         c = clip_segment(e, B)
         if c is None:
             continue
         for q in (c.a, c.b):
             if best is None or q.key() < best.key():
                 best = q
-    assert best is not None
+    if best is None:
+        raise AssertionError("nearest point certification failed: no point of B at |A B|")
     return best
 
 
@@ -121,17 +109,19 @@ def delta_left(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
                n: PolyhedralNorm) -> LeftWitness:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    if r <= set_distance(A, B, n):
+    d = set_distance(A, B, n)
+    if r <= d:
         raise DomainError("left witness needs r strictly above set distance")
     M = f_eval(A, B, r, n)
-    p = _nearest_point_of_B(A, B, n)
+    p = _nearest_point_of_B(A, B, d, n)
     L = max(n.gauge(p - x) for x in M.vertices)
     half = rat(1, 2)
     lam = min(epsilon / L, half) if L > 0 else half
     gM = ConvexPolygon.hull(x + (p - x).scaled(lam) for x in M.vertices)
     BrA = neighborhood(A, r, n)
-    delta = min(segment_distance(e, gM, n) for e in _boundary_edges(BrA))
-    assert delta > 0
+    delta = min(segment_distance(e, gM, n) for e in BrA.edges())
+    if delta <= 0:
+        raise AssertionError("left witness certification failed: delta <= 0")
     return LeftWitness(epsilon, M, p, lam, L, gM, delta)
 
 
@@ -144,37 +134,37 @@ class ModulusReport:
     all_passed: bool
     worst_gap: Rat
     note: Optional[str] = None
+    # the witness whose window was sampled; None for the left side at r = |A B|
+    witness: Union[RightWitness, LeftWitness, None] = None
 
 
 def verify_modulus(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
-                   n: PolyhedralNorm, samples: int = 8,
-                   cap: Rat = R1) -> tuple[ModulusReport, ModulusReport]:
-    """Sample both one-sided witnesses and check d_H(f(r), f(r')) <= eps exactly."""
+                   n: PolyhedralNorm, samples: int = 8) -> tuple[ModulusReport, ModulusReport]:
+    """Sample both one-sided witnesses and check d_H(f(r), f(r')) <= eps exactly.
+
+    Each side samples its witness window, capped at width 1.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    M = f_eval(A, B, r, n)
-
+    if epsilon <= 0:
+        f_eval(A, B, r, n)  # a radius below |A B| is reported before a bad epsilon
     right = delta_right(A, B, r, epsilon, n)
-    span = cap if right.delta is None else min(right.delta, cap)
-    rs = tuple(r + span * i / (samples + 1) for i in range(1, samples + 1))
-    gaps = [hausdorff(M, f_eval(A, B, rp, n), n) for rp in rs]
-    worst = max(gaps)
-    right_report = ModulusReport(r, rs, epsilon, "right",
-                                 all(g <= epsilon for g in gaps), worst)
+    M = right.M
 
+    def sampled(witness, side: str, span: Rat) -> ModulusReport:
+        # span < 0 samples to the left of r
+        rs = tuple(r + span * i / (samples + 1) for i in range(1, samples + 1))
+        gaps = [hausdorff(M, f_eval(A, B, rp, n), n) for rp in rs]
+        return ModulusReport(r, rs, epsilon, side, all(g <= epsilon for g in gaps),
+                             max(gaps), witness=witness)
+
+    right_report = sampled(right, "right", R1 if right.delta is None else min(right.delta, R1))
     d = set_distance(A, B, n)
     if r == d:
-        left_report = ModulusReport(r, (), epsilon, "left", True, R0,
-                                    note="not applicable at domain endpoint")
-    else:
-        left = delta_left(A, B, r, epsilon, n)
-        span = min(left.delta, r - d, cap)
-        rs = tuple(r - span * i / (samples + 1) for i in range(1, samples + 1))
-        gaps = [hausdorff(M, f_eval(A, B, rp, n), n) for rp in rs]
-        worst = max(gaps)
-        left_report = ModulusReport(r, rs, epsilon, "left",
-                                    all(g <= epsilon for g in gaps), worst)
-    return right_report, left_report
+        return right_report, ModulusReport(r, (), epsilon, "left", True, R0,
+                                           note="not applicable at domain endpoint")
+    left = delta_left(A, B, r, epsilon, n)
+    return right_report, sampled(left, "left", -min(left.delta, r - d, R1))
 
 
 @dataclass(frozen=True)
@@ -187,22 +177,26 @@ class ScanRow:
 
 def modulus_table(A: ConvexPolygon, B: ConvexPolygon, n: PolyhedralNorm,
                   radii: Sequence[Rat], h: Rat) -> list[ScanRow]:
+    ahead: dict = {}  # f(r + h) of earlier rows, reused when a later row starts there
     rows = []
     for r in sorted(radii):
-        g = hausdorff(f_eval(A, B, r, n), f_eval(A, B, r + h, n), n)
+        M = ahead.pop(r) if r in ahead else f_eval(A, B, r, n)
+        M_next = ahead[r + h] = f_eval(A, B, r + h, n)
+        g = hausdorff(M, M_next, n)
         rows.append(ScanRow(r, r + h, g, g / h))
     return rows
 
 
 def modulus_scan(A: ConvexPolygon, B: ConvexPolygon, n: PolyhedralNorm,
                  r_lo: Rat, r_hi: Rat, steps: int) -> list[ScanRow]:
-    """Gap table d_H(f(r), f(r+h)) over equispaced radii, h = (r_hi-r_lo)/steps."""
+    """Gap table d_H(f(r), f(r+h)) over equispaced radii, h = (r_hi-r_lo)/steps.
+
+    A range starting below |A B| fails on the first row's f(r_lo).
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if r_hi <= r_lo:
         raise ValueError("empty radius range")
-    if r_lo < set_distance(A, B, n):
-        raise DomainError("radius below set distance")
     h = (r_hi - r_lo) / steps
     return modulus_table(A, B, n, [r_lo + h * j for j in range(steps)], h)
 

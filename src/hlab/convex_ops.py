@@ -16,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._scalar import R0, R1, Rat, rat
+from ._scalar import R0, R1, Rat
 from .geometry import (
+    ORIGIN,
     ConvexPolygon,
     Membership,
     Point,
     Segment,
     clip_segment,
     contains_point,
-    orientation,
 )
-from .norms import ORIGIN, PolyhedralNorm
+from .norms import PolyhedralNorm
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,16 @@ def point_distance(x: Point, P: ConvexPolygon, n: PolyhedralNorm) -> DistanceWit
     if contains_point(P, x) != Membership.OUTSIDE:
         return DistanceWitness(R0, x)
     candidates = list(P.vertices)
-    if P.n >= 2:
-        edges = P.edges() if P.n >= 3 else [Segment(P.vertices[0], P.vertices[1])]
-        for e in edges:
-            d = e.b - e.a
-            for w in n.unit_ball.vertices:
-                denom = d.cross(w)
-                if denom == 0:
-                    continue
-                # a on the edge with (x - a) parallel to the ball vertex w
-                s = (x - e.a).cross(w) / denom
-                if R0 < s < R1:
-                    candidates.append(e.point_at(s))
+    for e in P.edges():  # a point's one degenerate edge adds no candidate
+        d, xa = e.b - e.a, x - e.a
+        for w in n.unit_ball.vertices:
+            denom = d.cross(w)
+            if denom == 0:
+                continue
+            # a on the edge with (x - a) parallel to the ball vertex w
+            s = xa.cross(w) / denom
+            if R0 < s < R1:
+                candidates.append(e.a + d.scaled(s))
     best: Optional[Point] = None
     best_d: Optional[Rat] = None
     for a in candidates:
@@ -180,12 +178,8 @@ def segment_distance(s: Segment, P: ConvexPolygon, n: PolyhedralNorm) -> Rat:
     return set_distance(ConvexPolygon.hull([s.a, s.b]), P, n)
 
 
-def directed_hausdorff(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
-    return max(point_distance(v, Q, n).distance for v in P.vertices)
-
-
 def hausdorff(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
-    return max(directed_hausdorff(P, Q, n), directed_hausdorff(Q, P, n))
+    return hausdorff_union((P,), (Q,), n)
 
 
 def _directed_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ._scalar import R0, R1, Rat, rat
 
@@ -117,10 +117,14 @@ class ConvexPolygon:
             return [Segment(v[0], v[1])]
         return [Segment(v[i], v[(i + 1) % self.n]) for i in range(self.n)]
 
+    # Translation and positive scaling keep the canonical order (lexicographic
+    # start, CCW, strict convexity); reflection rotates it, t = 0 collapses it.
     def translate(self, d: Point) -> "ConvexPolygon":
-        return ConvexPolygon.hull(v + d for v in self.vertices)
+        return ConvexPolygon(tuple(v + d for v in self.vertices))
 
     def scaled(self, t: Rat) -> "ConvexPolygon":
+        if t > 0:
+            return ConvexPolygon(tuple(v.scaled(t) for v in self.vertices))
         return ConvexPolygon.hull(v.scaled(t) for v in self.vertices)
 
     def reflected(self) -> "ConvexPolygon":

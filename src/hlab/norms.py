@@ -20,9 +20,7 @@ from math import isqrt
 import mpmath
 
 from ._scalar import R0, Rat, rat
-from .geometry import ConvexPolygon, Membership, Point, contains_point, pt
-
-ORIGIN = Point(R0, R0)
+from .geometry import ORIGIN, ConvexPolygon, Membership, Point, contains_point, pt
 
 
 @dataclass(frozen=True)

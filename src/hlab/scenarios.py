@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from ._scalar import Rat, rat
 from .geometry import ConvexPolygon, pt
 from .norms import PolyhedralNorm, linf_norm
-from .convex_ops import hausdorff_union, intersect, neighborhood, point_distance, set_distance
+from .convex_ops import hausdorff_union, intersect, neighborhood, point_distance
 from .continuity import DomainError, ScanRow, modulus_table
 
 
@@ -99,18 +99,21 @@ def figure2_scene() -> Scene:
 FIGURE2_DELTAS = (rat(1, 2), rat(1, 4), rat(1, 8), rat(1, 16), rat(1, 32))
 
 
-def figure2_scenario() -> tuple[Scene, JumpReport]:
-    scene = figure2_scene()
-    rho = scene.r
+def _gaps_below(scene: Scene) -> tuple:
+    """d_H(f(r - delta), f(r)) at the scene's r for each delta in FIGURE2_DELTAS."""
     n = scene.norm
-    at_rho = f_union_eval(scene.A, scene.b_parts, rho, n)
-    gaps = tuple(
-        hausdorff_union(f_union_eval(scene.A, scene.b_parts, rho - d, n), at_rho, n)
+    at_rho = f_union_eval(scene.A, scene.b_parts, scene.r, n)
+    return tuple(
+        hausdorff_union(f_union_eval(scene.A, scene.b_parts, scene.r - d, n), at_rho, n)
         for d in FIGURE2_DELTAS
     )
+
+
+def figure2_scenario() -> tuple[Scene, JumpReport]:
+    scene = figure2_scene()
     far_point = scene.b_parts[1].vertices[0]
-    bound = point_distance(far_point, scene.b_parts[0], n).distance
-    return scene, JumpReport(rho, FIGURE2_DELTAS, gaps, bound)
+    bound = point_distance(far_point, scene.b_parts[0], scene.norm).distance
+    return scene, JumpReport(scene.r, FIGURE2_DELTAS, _gaps_below(scene), bound)
 
 
 def figure2_convex_control() -> tuple[Scene, tuple]:
@@ -127,10 +130,4 @@ def figure2_convex_control() -> tuple[Scene, tuple]:
         r=base.r,
         label="convexified control for the jump instance",
     )
-    n = scene.norm
-    at_rho = f_union_eval(scene.A, scene.b_parts, scene.r, n)
-    gaps = tuple(
-        hausdorff_union(f_union_eval(scene.A, scene.b_parts, scene.r - d, n), at_rho, n)
-        for d in FIGURE2_DELTAS
-    )
-    return scene, gaps
+    return scene, _gaps_below(scene)

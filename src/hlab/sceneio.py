@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Optional
+from typing import Any
 
 from ._scalar import Rat, format_rat, rat
 from .geometry import ConvexPolygon, Point
@@ -26,7 +26,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: Any, key: str) -> Rat:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return rat(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SceneFormatError(f"{key}: expected a rational string 'p/q', got {text!r}")
@@ -66,7 +66,7 @@ def _parse_norm(obj: Any) -> tuple:
         return norm, {"kind": "ball", "ball": polygon_to_json(ball)}
     if kind == "euclidean_approx":
         k = obj.get("k")
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise SceneFormatError("norm.k: expected an integer")
         try:
             sandwich = euclidean_approx(k)
@@ -106,6 +106,8 @@ def load_scene(path: str) -> Scene:
         hi = parse_rational(rr[1], "r_range")
         if hi < lo:
             raise SceneFormatError("r_range: lo must not exceed hi")
+        if hi == lo:
+            raise SceneFormatError("r_range: empty radius range")
         r_range = (lo, hi)
     label = doc.get("label", "")
     if not isinstance(label, str):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hlab._scalar import rat
 from hlab.cli import main
-from hlab.sceneio import SceneFormatError, load_scene, save_scene
+from hlab.continuity import f_eval
+from hlab.sceneio import SceneFormatError, load_scene, polygon_to_json, save_scene
 
 SCENES = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
 WORKED = os.path.join(SCENES, "worked.json")
@@ -17,6 +19,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_scene(tmp_path, **changes):
+    """worked.json with some keys replaced."""
+    with open(WORKED, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(changes)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestEval:
@@ -54,6 +66,30 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(bad))
         assert code == 1
         assert "not strictly convex" in err
+
+    def test_boolean_radius_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "eval", write_scene(tmp_path, r=True))
+        assert (code, out) == (1, "")
+        assert err == "hlab: r: expected a rational string 'p/q', got True\n"
+
+    def test_boolean_k_rejected(self, tmp_path, capsys):
+        scene = write_scene(tmp_path, norm={"kind": "euclidean_approx", "k": True})
+        code, out, err = run(capsys, "eval", scene)
+        assert (code, out) == (1, "")
+        assert err == "hlab: norm.k: expected an integer\n"
+
+    @pytest.mark.parametrize("norm", [
+        {"kind": "ball", "ball": [["2", "0"], ["1", "1"], ["-1", "1"],
+                                  ["-2", "0"], ["-1", "-1"], ["1", "-1"]]},
+        {"kind": "euclidean_approx", "k": 6},
+    ])
+    def test_ball_and_euclidean_scenes_match_library(self, tmp_path, capsys, norm):
+        path = write_scene(tmp_path, norm=norm, r="7/4")
+        scene = load_scene(path)
+        code, out, _ = run(capsys, "eval", path)
+        assert code == 0
+        M = f_eval(scene.A, scene.B, rat(7, 4), scene.norm)
+        assert json.loads(out) == {"r": "7/4", "components": [polygon_to_json(M)]}
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "eval", WORKED, "--r", "3/2")
@@ -107,6 +143,12 @@ class TestScan:
         assert code == 1
         assert "steps must be >= 1" in err
 
+    def test_empty_radius_range_rejected_at_load(self, tmp_path, capsys):
+        code, out, err = run(capsys, "scan", write_scene(tmp_path, r_range=["2", "2"]),
+                             "--steps", "4")
+        assert (code, out) == (1, "")
+        assert err == "hlab: r_range: empty radius range\n"
+
     def test_constant_scene_all_zero(self, capsys, tmp_path):
         doc = {
             "norm": {"kind": "linf"},
@@ -150,6 +192,16 @@ class TestOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["contains_exact"] is True
+
+    @pytest.mark.parametrize("step, message", [
+        ("0", "step must be positive"),
+        ("-1/4", "step must be positive"),
+        ("100", "grid too coarse"),
+    ])
+    def test_bad_step_exit_1(self, capsys, step, message):
+        code, out, err = run(capsys, "oracle", WORKED, f"--step={step}")
+        assert (code, out) == (1, "")
+        assert err == f"hlab: --step: {message}\n"
 
 
 class TestSceneRoundTrip:

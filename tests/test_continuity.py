@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from hlab._scalar import R0, rat
 from hlab.geometry import ConvexPolygon, Membership, Segment, contains_point, pt
-from hlab.norms import linf_norm
+from hlab.norms import l1_norm, linf_norm
 from hlab.convex_ops import hausdorff, neighborhood, segment_distance, set_distance, subset_of
 from hlab.continuity import (
     DomainError,
@@ -14,7 +19,7 @@ from hlab.continuity import (
     verify_modulus,
 )
 
-from conftest import random_polygon
+from conftest import random_hexagon_norm, random_polygon
 
 
 def box(x0, y0, x1, y1):
@@ -40,6 +45,17 @@ class TestFEval:
     def test_domain_violation(self):
         with pytest.raises(DomainError, match="radius below set distance"):
             f_eval(A, B, rat(1, 2), N)
+
+    def test_domain_is_exactly_r_at_least_set_distance(self, rng):
+        for n in (N, l1_norm(), random_hexagon_norm(rng)):
+            for _ in range(4):
+                P, Q = random_polygon(rng), random_polygon(rng)
+                d = set_distance(P, Q, n)
+                for r in (d - rat(1, 1000), rat(-1)):
+                    with pytest.raises(DomainError, match="radius below set distance"):
+                        f_eval(P, Q, r, n)
+                for r in (d, d + rat(1, 1000)):
+                    assert subset_of(f_eval(P, Q, r, n), Q)
 
     def test_monotone_and_contained(self, rng):
         for _ in range(10):
@@ -155,6 +171,53 @@ class TestVerifyModulus:
         w = delta_right(A, B, rat(3, 2), rat(10**6), N)
         assert w.K == () and w.delta is None
 
+    def test_reports_carry_the_sampled_witnesses(self):
+        r, eps = rat(3, 2), rat(1, 4)
+        right, left = verify_modulus(A, B, r, eps, N)
+        assert right.witness == delta_right(A, B, r, eps, N)
+        assert left.witness == delta_left(A, B, r, eps, N)
+        _, endpoint = verify_modulus(A, B, rat(1), eps, N)
+        assert endpoint.witness is None
+
+    def test_radius_error_precedes_epsilon_error(self):
+        with pytest.raises(DomainError, match="radius below set distance"):
+            verify_modulus(A, B, rat(1, 2), R0, N)
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            verify_modulus(A, B, rat(3, 2), R0, N)
+
+
+def test_certificates_survive_optimize():
+    """The delta > 0 checks are explicit raises, not asserts stripped by -O."""
+    script = textwrap.dedent("""
+        import hlab.continuity as c
+        from hlab._scalar import rat
+        from hlab.geometry import ConvexPolygon, pt
+        from hlab.norms import linf_norm
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        box = lambda x0, x1: ConvexPolygon.hull([pt(x0, 0), pt(x1, 0), pt(x1, 1), pt(x0, 1)])
+        A, B, n = box(0, 1), box(2, 3), linf_norm()
+        c.segment_distance = lambda s, P, n: rat(0)
+        for witness in (c.delta_right, c.delta_left):
+            try:
+                witness(A, B, rat(3, 2), rat(1, 4), n)
+            except AssertionError as exc:
+                print(exc)
+            else:
+                raise SystemExit(witness.__name__ + " accepted delta = 0")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "right witness certification failed: delta <= 0",
+        "left witness certification failed: delta <= 0",
+    ]
+
 
 class TestGridOracle:
     def test_identical_sets(self):
@@ -191,3 +254,19 @@ class TestModulusScan:
     def test_steps_validation(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             modulus_scan(A, B, N, rat(1), rat(2), 0)
+
+    def test_range_below_set_distance(self):
+        with pytest.raises(DomainError, match="radius below set distance"):
+            modulus_scan(A, B, N, rat(1, 2), rat(2), 4)
+
+    def test_rows_match_pairwise_evaluation(self, rng):
+        for n in (N, l1_norm(), random_hexagon_norm(rng)):
+            for _ in range(3):
+                P, Q = random_polygon(rng), random_polygon(rng)
+                d = set_distance(P, Q, n)
+                h = rat(1, 3)
+                rows = modulus_scan(P, Q, n, d, d + 1, 3)
+                assert [row.r for row in rows] == [d, d + h, d + 2 * h]
+                for row in rows:
+                    gap = hausdorff(f_eval(P, Q, row.r, n), f_eval(P, Q, row.r + h, n), n)
+                    assert (row.r_next, row.gap, row.ratio) == (row.r + h, gap, gap / h)

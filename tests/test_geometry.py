@@ -15,6 +15,8 @@ from hlab.geometry import (
     pt,
 )
 
+from conftest import random_point, random_polygon
+
 
 def square01():
     return ConvexPolygon.hull([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
@@ -72,6 +74,22 @@ class TestConvexHull:
     def test_inputs_inside_hull(self, pts):
         hull = ConvexPolygon.hull(pts)
         assert all(contains_point(hull, p) != Membership.OUTSIDE for p in pts)
+
+
+class TestCanonicalMaps:
+    """translate and scaled(t > 0) skip the hull; they must agree with it."""
+
+    FACTORS = (rat(2), rat(1, 3), rat(0), rat(-1), rat(-5, 2))
+
+    def test_match_hull_of_mapped_vertices(self, rng):
+        for _ in range(20):
+            P = random_polygon(rng)
+            shapes = (P, ConvexPolygon.hull(P.vertices[:2]), ConvexPolygon.hull(P.vertices[:1]))
+            for Q in shapes:
+                d = random_point(rng)
+                assert Q.translate(d) == ConvexPolygon.hull(v + d for v in Q.vertices)
+                for t in self.FACTORS:
+                    assert Q.scaled(t) == ConvexPolygon.hull(v.scaled(t) for v in Q.vertices)
 
 
 class TestContainsPoint:
