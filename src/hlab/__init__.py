@@ -14,6 +14,7 @@ from .convex_ops import (
     point_distance,
     segment_distance,
     set_distance,
+    signed_distance,
     subset_of,
 )
 from .continuity import (

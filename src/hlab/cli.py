@@ -192,7 +192,10 @@ def cmd_scenario(args) -> int:
 def cmd_oracle(args) -> int:
     scene = load_scene(args.scene)
     step = parse_rational(args.step, "--step")
-    exact = hausdorff_union([scene.A], list(scene.b_parts), scene.norm)
+    try:
+        exact = hausdorff_union([scene.A], list(scene.b_parts), scene.norm)
+    except ValueError as exc:  # a union distance its vertex bounds leave open
+        raise DomainError(str(exc)) from exc
     try:
         lo, hi = grid_oracle_hausdorff(scene.A, list(scene.b_parts), scene.norm, step)
     except ValueError as exc:  # step not positive, or too coarse to sample a part

@@ -9,6 +9,12 @@ The main theorem's proof is constructive on both sides:
   contraction g(x) = x + lambda (p - x) with lambda L <= eps; then
   delta = |g(M) boundary(B_r(A))| works for r' in (r - delta, r].
 
+B_r(A) is the r-sublevel set of the distance to A, so both radii are
+distances to A and B_r(A) is never built: |x B_r(A)| = max(0, |x A| - r)
+gives delta_right = min over s in K of |s A| - r, and for x in B_r(A),
+|x boundary(B_r(A))| = r - sd_A(x) with sd_A the (convex) signed distance to
+A, so delta_left = r - max over the vertices v of g(M) of sd_A(v).
+
 Both witnesses are computed exactly and can be re-verified sample by sample;
 each verified radius is a machine-checked instance of the theorem.
 """
@@ -21,7 +27,8 @@ from typing import Optional, Sequence, Union
 from ._scalar import R0, R1, Rat, rat, rat_ceil, rat_floor
 from .geometry import ConvexPolygon, Point, Segment, clip_segment
 from .norms import PolyhedralNorm
-from .convex_ops import hausdorff, intersect, neighborhood, segment_distance, set_distance
+from .convex_ops import (hausdorff, intersect, neighborhood, segment_distance, set_distance,
+                         signed_distance)
 
 
 class DomainError(ValueError):
@@ -65,8 +72,7 @@ def delta_right(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
             K.append(c)
     if not K:
         return RightWitness(epsilon, M, (), None)
-    BrA = neighborhood(A, r, n)
-    delta = min(segment_distance(seg, BrA, n) for seg in K)
+    delta = min(segment_distance(seg, A, n) for seg in K) - r
     if delta <= 0:
         raise AssertionError("right witness certification failed: delta <= 0")
     return RightWitness(epsilon, M, tuple(K), delta)
@@ -83,28 +89,6 @@ class LeftWitness:
     delta: Rat
 
 
-def _nearest_point_of_B(A: ConvexPolygon, B: ConvexPolygon, d: Rat,
-                        n: PolyhedralNorm) -> Point:
-    """Lexicographically smallest p in B with |p A| = d = |A B|."""
-    if d == 0:
-        common = intersect(A, B)
-        if common is None:
-            raise AssertionError("nearest point certification failed: A and B do not meet")
-        return common.vertices[0]  # canonical order starts at the lex-min
-    shell = neighborhood(A, d, n)
-    best: Optional[Point] = None
-    for e in shell.edges():
-        c = clip_segment(e, B)
-        if c is None:
-            continue
-        for q in (c.a, c.b):
-            if best is None or q.key() < best.key():
-                best = q
-    if best is None:
-        raise AssertionError("nearest point certification failed: no point of B at |A B|")
-    return best
-
-
 def delta_left(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
                n: PolyhedralNorm) -> LeftWitness:
     if epsilon <= 0:
@@ -113,13 +97,13 @@ def delta_left(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
     if r <= d:
         raise DomainError("left witness needs r strictly above set distance")
     M = f_eval(A, B, r, n)
-    p = _nearest_point_of_B(A, B, d, n)
+    # f(|A B|) is the set of points of B nearest A; canonical order starts at its lex-min
+    p = f_eval(A, B, d, n).vertices[0]
     L = max(n.gauge(p - x) for x in M.vertices)
     half = rat(1, 2)
     lam = min(epsilon / L, half) if L > 0 else half
     gM = ConvexPolygon.hull(x + (p - x).scaled(lam) for x in M.vertices)
-    BrA = neighborhood(A, r, n)
-    delta = min(segment_distance(e, gM, n) for e in BrA.edges())
+    delta = r - max(signed_distance(v, A, n) for v in gM.vertices)
     if delta <= 0:
         raise AssertionError("left witness certification failed: delta <= 0")
     return LeftWitness(epsilon, M, p, lam, L, gM, delta)

@@ -8,7 +8,8 @@ against a Minkowski difference.
 
 Directed Hausdorff distances are evaluated over source vertices only: the
 distance-to-a-convex-set function is convex, so its maximum over a convex
-compact is attained at an extreme point.
+compact is attained at an extreme point; against a union of convex parts
+it only brackets the value, and an open bracket is refused.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._scalar import R0, R1, Rat
+from ._scalar import R0, R1, Rat, format_rat
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -26,7 +27,7 @@ from .geometry import (
     clip_segment,
     contains_point,
 )
-from .norms import PolyhedralNorm
+from .norms import PolyhedralNorm, support
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,16 @@ def point_distance(x: Point, P: ConvexPolygon, n: PolyhedralNorm) -> DistanceWit
     return DistanceWitness(best_d, best)
 
 
+def signed_distance(x: Point, P: ConvexPolygon, n: PolyhedralNorm) -> Rat:
+    """Gauge distance from x to P outside P, minus the depth of x inside P:
+    max over directions u of (<x, u> - h_P(u)) / h_K(u), K the unit ball.
+    The ratio is linear-fractional on each cone of the common normal fan of
+    P and K, so its maximum sits at an edge normal of P or of K."""
+    K = n.unit_ball
+    return max((x.dot(u) - support(P, u)) / support(K, u)
+               for u in P.edge_normals() + K.edge_normals())
+
+
 def set_distance(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
     """min over p in P, q in Q of the gauge distance; 0 iff the sets meet."""
     diff = minkowski_sum(Q, P.reflected())
@@ -184,11 +195,18 @@ def hausdorff(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
 
 def _directed_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],
                     n: PolyhedralNorm) -> Rat:
-    return max(
-        min(point_distance(v, Q, n).distance for Q in Qs)
-        for P in Ps
-        for v in P.vertices
-    )
+    """sup over the union of Ps of the distance to the union of Qs, pinned on
+    each part P between max_v min_j |v Q_j| and min_j max_v |v Q_j| over its
+    vertices v (each |. Q_j| is convex); ValueError unless the bounds meet."""
+    lower = upper = R0
+    for P in Ps:
+        table = [[point_distance(v, Q, n).distance for Q in Qs] for v in P.vertices]
+        lower = max(lower, max(min(row) for row in table))
+        upper = max(upper, min(max(col) for col in zip(*table)))
+    if lower != upper:
+        raise ValueError("union Hausdorff distance not certified: vertex bounds "
+                         f"{format_rat(lower)} and {format_rat(upper)} differ")
+    return lower
 
 
 def hausdorff_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],

@@ -117,6 +117,13 @@ class ConvexPolygon:
             return [Segment(v[0], v[1])]
         return [Segment(v[i], v[(i + 1) % self.n]) for i in range(self.n)]
 
+    def edge_normals(self) -> list[Point]:
+        """Outward normals (d.y, -d.x) of the CCW edges d; a segment has two."""
+        v = self.vertices
+        if self.n == 1:
+            return []
+        return [Point(q.y - p.y, p.x - q.x) for p, q in zip(v, v[1:] + v[:1])]
+
     # Translation and positive scaling keep the canonical order (lexicographic
     # start, CCW, strict convexity); reflection rotates it, t = 0 collapses it.
     def translate(self, d: Point) -> "ConvexPolygon":

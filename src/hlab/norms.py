@@ -14,10 +14,9 @@ parametrization) and a scaled copy certified to contain the unit disc.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 from ._scalar import R0, Rat, rat
 from .geometry import ORIGIN, ConvexPolygon, Membership, Point, contains_point, pt
@@ -38,15 +37,8 @@ class PolyhedralNorm:
             raise ValueError("origin not interior")
         # outward edge normals (a, b) with <a, x> <= b, b > 0; the gauge of v
         # is then max_e <a_e, v> / b_e
-        rows = []
-        v = ball.vertices
-        for i in range(ball.n):
-            p, q = v[i], v[(i + 1) % ball.n]
-            d = q - p
-            a = Point(d.y, -d.x)
-            b = a.dot(p)
-            rows.append((a, b))
-        object.__setattr__(self, "_edge_normals", tuple(rows))
+        rows = tuple((a, a.dot(p)) for a, p in zip(ball.edge_normals(), ball.vertices))
+        object.__setattr__(self, "_edge_normals", rows)
 
     def gauge(self, v: Point) -> Rat:
         """min{t >= 0 : v in t * unit_ball}; exact, 0 iff v = 0."""
@@ -108,6 +100,27 @@ def _sqrt_upper_bound(q: Rat, scale: int = 10**6) -> Rat:
     return rat(m, scale)
 
 
+def _tan_pi(i: int, m: int) -> Fraction:
+    """tan(pi i / m) for 0 <= i / m < 1/2, to 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        # Machin: pi = 16 atan(1/5) - 4 atan(1/239), each by its power series
+        pi = Decimal(0)
+        for c, q in ((16, 5), (-4, 239)):
+            term, j = Decimal(c) / q, 1
+            while pi + term / j != pi:
+                pi += term / j
+                term, j = -term / (q * q), j + 2
+        # the series of exp(ix), split by j mod 4 into +cos, +sin, -cos, -sin
+        x = pi * i / m
+        sums, term, j = [Decimal(0)] * 4, Decimal(1), 0
+        while sums[j % 4] + term != sums[j % 4]:
+            sums[j % 4] += term
+            j += 1
+            term = term * x / j
+        return Fraction((sums[1] - sums[3]) / (sums[0] - sums[2]))
+
+
 def euclidean_approx(k: int) -> NormSandwich:
     """Certified polygonal sandwich of the Euclidean norm.
 
@@ -118,11 +131,7 @@ def euclidean_approx(k: int) -> NormSandwich:
     """
     if k < 3:
         raise ValueError("k too small")
-    with mpmath.workdps(30):
-        params = [
-            Fraction(mpmath.nstr(mpmath.tan(mpmath.pi * i / (2 * k)), 25)).limit_denominator(10**4)
-            for i in range(k)
-        ]
+    params = [_tan_pi(i, 2 * k).limit_denominator(10**4) for i in range(k)]
     upper = [_circle_point(rat(t)) for t in params]
     inner_ball = ConvexPolygon.hull(upper + [p.scaled(rat(-1)) for p in upper])
     inner = make_norm(inner_ball)

@@ -204,6 +204,17 @@ class TestOracle:
         assert err == f"hlab: --step: {message}\n"
 
 
+    def test_uncertified_union_distance_exit_2(self, tmp_path, capsys):
+        # the midpoint of A lies between the two parts of B: d_H = 1, while the
+        # vertices of A sit on B
+        path = write_scene(tmp_path, A=[["-1", "0"], ["1", "0"]],
+                           B=[[["-1", "0"]], [["1", "0"]]])
+        code, out, err = run(capsys, "oracle", path, "--step", "1/8")
+        assert (code, out) == (2, "")
+        assert err == ("hlab: union Hausdorff distance not certified: "
+                       "vertex bounds 0 and 2 differ\n")
+
+
 class TestSceneRoundTrip:
     @pytest.mark.parametrize("path", [WORKED, FIGURE1, FIGURE2])
     def test_load_save_fixed_point(self, path, tmp_path):

@@ -6,9 +6,17 @@ import textwrap
 import pytest
 
 from hlab._scalar import R0, rat
-from hlab.geometry import ConvexPolygon, Membership, Segment, contains_point, pt
-from hlab.norms import l1_norm, linf_norm
-from hlab.convex_ops import hausdorff, neighborhood, segment_distance, set_distance, subset_of
+from hlab.geometry import ConvexPolygon, Membership, Point, Segment, clip_segment, contains_point, pt
+from hlab.norms import euclidean_approx, l1_norm, linf_norm
+from hlab.convex_ops import (
+    hausdorff,
+    intersect,
+    neighborhood,
+    segment_distance,
+    set_distance,
+    signed_distance,
+    subset_of,
+)
 from hlab.continuity import (
     DomainError,
     delta_left,
@@ -19,7 +27,7 @@ from hlab.continuity import (
     verify_modulus,
 )
 
-from conftest import random_hexagon_norm, random_polygon
+from conftest import random_hexagon_norm, random_point, random_polygon
 
 
 def box(x0, y0, x1, y1):
@@ -152,6 +160,56 @@ class TestDeltaLeft:
                 assert segment_distance(e, w.gM, N) >= w.delta
 
 
+class TestWitnessesAgainstConstructions:
+    """The distance-to-A witnesses against the theorem's constructions on B_r(A)."""
+
+    @staticmethod
+    def nearest_point_of_B(A, B, d, n):
+        """Lex-min point of B at |A B|, from the shell B_d(A) clipped edge by edge."""
+        if d == 0:
+            return intersect(A, B).vertices[0]
+        ends = []
+        for e in neighborhood(A, d, n).edges():
+            c = clip_segment(e, B)
+            if c is not None:
+                ends.extend((c.a, c.b))
+        return min(ends, key=Point.key)
+
+    @staticmethod
+    def pairs(rng):
+        """Polygons, segments, points and overlapping pairs (|A B| = 0)."""
+        for _ in range(2):
+            P, Q = random_polygon(rng), random_polygon(rng)
+            yield P, Q
+            yield ConvexPolygon.hull(P.vertices[:2]), ConvexPolygon.hull(Q.vertices[:1])
+            yield P, ConvexPolygon.hull([v + random_point(rng, -1, 1, 4) for v in P.vertices])
+        yield box(0, 0, 4, 4), box(1, 1, 2, 2)  # g(M) deep inside A
+
+    def test_match_on_random_pairs(self, rng):
+        norms = (N, l1_norm(), random_hexagon_norm(rng), euclidean_approx(4).inner)
+        for n in norms:
+            for P, Q in self.pairs(rng):
+                d = set_distance(P, Q, n)
+                for r, eps in ((d, rat(1, 4)), (d + rat(1, 2), rat(1, 16))):
+                    BrA = neighborhood(P, r, n)
+                    right = delta_right(P, Q, r, eps, n)
+                    if right.K:
+                        assert right.delta == min(segment_distance(s, BrA, n) for s in right.K)
+                    if r == d:
+                        continue
+                    left = delta_left(P, Q, r, eps, n)
+                    assert left.p == self.nearest_point_of_B(P, Q, d, n)
+                    assert left.delta == min(segment_distance(e, left.gM, n) for e in BrA.edges())
+
+    def test_left_delta_exceeds_r_when_gM_lies_inside_A(self):
+        # |x boundary(B_r(A))| = r - signed distance, not r - unsigned distance
+        P, Q, r = box(0, 0, 4, 4), box(1, 1, 2, 2), rat(1)
+        w = delta_left(P, Q, r, rat(1, 4), N)
+        assert w.gM == box(1, 1, rat(7, 4), rat(7, 4))
+        assert max(signed_distance(v, P, N) for v in w.gM.vertices) == -1
+        assert w.delta == 2
+
+
 class TestVerifyModulus:
     def test_worked_instance_both_sides(self):
         right, left = verify_modulus(A, B, rat(3, 2), rat(1, 4), N, samples=8)
@@ -198,7 +256,10 @@ def test_certificates_survive_optimize():
             raise SystemExit("not running under -O")
         box = lambda x0, x1: ConvexPolygon.hull([pt(x0, 0), pt(x1, 0), pt(x1, 1), pt(x0, 1)])
         A, B, n = box(0, 1), box(2, 3), linf_norm()
-        c.segment_distance = lambda s, P, n: rat(0)
+        # force delta = 0 on each side through the distance that side takes:
+        # right: min |s A| - r, left: r - max sd_A(v), at r = 3/2
+        c.segment_distance = lambda s, P, n: rat(3, 2)
+        c.signed_distance = lambda x, P, n: rat(3, 2)
         for witness in (c.delta_right, c.delta_left):
             try:
                 witness(A, B, rat(3, 2), rat(1, 4), n)

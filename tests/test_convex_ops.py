@@ -4,7 +4,7 @@ import pytest
 
 from hlab._scalar import R0, rat, rat_ceil, rat_floor
 from hlab.geometry import ConvexPolygon, Membership, Point, Segment, contains_point, pt
-from hlab.norms import gauge, l1_norm, linf_norm, support
+from hlab.norms import euclidean_approx, gauge, l1_norm, linf_norm, support
 from hlab.convex_ops import (
     hausdorff,
     hausdorff_union,
@@ -14,10 +14,11 @@ from hlab.convex_ops import (
     point_distance,
     segment_distance,
     set_distance,
+    signed_distance,
     subset_of,
 )
 
-from conftest import random_point, random_polygon
+from conftest import random_hexagon_norm, random_point, random_polygon
 
 
 def box(x0, y0, x1, y1):
@@ -153,6 +154,36 @@ class TestPointDistance:
             assert gauge(l1, x - w.projection_point) == w.distance
 
 
+class TestSignedDistance:
+    def test_box(self, linf):
+        assert signed_distance(pt(3, rat(1, 2)), SQ, linf) == 2
+        assert signed_distance(pt(1, rat(1, 3)), SQ, linf) == 0
+        assert signed_distance(pt(rat(1, 4), rat(1, 2)), SQ, linf) == rat(-1, 4)
+
+    def test_against_point_distance_and_depth(self, rng):
+        norms = (linf_norm(), l1_norm(), random_hexagon_norm(rng), euclidean_approx(4).inner)
+        for n in norms:
+            for _ in range(8):
+                P = random_polygon(rng, lo=-2, hi=2)
+                for Q in (P, ConvexPolygon.hull(P.vertices[:2])):
+                    x = random_point(rng, lo=-3, hi=3)
+                    sd = signed_distance(x, Q, n)
+                    assert max(R0, sd) == point_distance(x, Q, n).distance
+                    inside = contains_point(Q, x)
+                    assert (sd < 0) == (inside == Membership.INTERIOR)
+                    assert (sd == 0) == (inside == Membership.BOUNDARY)
+                    if sd < 0:  # the ball of radius -sd about x fits in Q, no larger one does
+                        X = ConvexPolygon.hull([x])
+                        assert subset_of(neighborhood(X, -sd, n), Q)
+                        assert not subset_of(neighborhood(X, -sd + rat(1, 1000), n), Q)
+
+    def test_point_set_is_gauge(self, rng):
+        for n in (linf_norm(), l1_norm(), random_hexagon_norm(rng)):
+            for _ in range(10):
+                q, x = random_point(rng), random_point(rng)
+                assert signed_distance(x, ConvexPolygon.hull([q]), n) == gauge(n, x - q)
+
+
 class TestSegmentAndSetDistance:
     def test_contained_segment(self, linf):
         assert segment_distance(Segment(pt(rat(1, 4), rat(1, 4)),
@@ -211,6 +242,19 @@ class TestHausdorff:
         got = hausdorff_union([P], [P, far], linf)
         expected = max(point_distance(v, P, linf).distance for v in far.vertices)
         assert got == expected
+
+    def test_union_each_part_matched_to_its_nearest_part(self, linf):
+        right = box(5, 0, 6, 1)
+        shifted = right.translate(pt(rat(1, 2), 0))
+        assert hausdorff_union([SQ, right], [SQ, shifted], linf) == rat(1, 2)
+
+    def test_union_gap_between_parts_refused(self, linf):
+        # the midpoint (0, 0) of A sits at distance 1 from both points; vertex
+        # enumeration alone would report 0
+        A = ConvexPolygon.hull([pt(-1, 0), pt(1, 0)])
+        parts = [ConvexPolygon.hull([pt(-1, 0)]), ConvexPolygon.hull([pt(1, 0)])]
+        with pytest.raises(ValueError, match="not certified: vertex bounds 0 and 2 differ"):
+            hausdorff_union([A], parts, linf)
 
     def test_empty_union(self, linf):
         with pytest.raises(ValueError, match="empty union"):

@@ -92,6 +92,25 @@ class TestCanonicalMaps:
                     assert Q.scaled(t) == ConvexPolygon.hull(v.scaled(t) for v in Q.vertices)
 
 
+class TestEdgeNormals:
+    def test_point_has_none(self):
+        assert ConvexPolygon.hull([pt(1, 2)]).edge_normals() == []
+
+    def test_segment_has_both_sides(self):
+        S = ConvexPolygon.hull([pt(0, 0), pt(2, 1)])
+        assert S.edge_normals() == [pt(1, -2), pt(-1, 2)]
+
+    def test_square(self):
+        assert square01().edge_normals() == [pt(0, -1), pt(1, 0), pt(0, 1), pt(-1, 0)]
+
+    def test_outward_and_orthogonal_to_each_edge(self, rng):
+        for _ in range(20):
+            P = random_polygon(rng)
+            for e, u in zip(P.edges(), P.edge_normals()):
+                assert u.dot(e.b - e.a) == 0 and u != Point(rat(0), rat(0))
+                assert all(u.dot(v - e.a) <= 0 for v in P.vertices)
+
+
 class TestContainsPoint:
     def test_interior(self):
         assert contains_point(square01(), pt(rat(1, 2), rat(1, 2))) == Membership.INTERIOR

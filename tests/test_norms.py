@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hlab._scalar import rat
 from hlab.geometry import ConvexPolygon, Membership, Point, contains_point, pt
-from hlab.norms import euclidean_approx, gauge, l1_norm, linf_norm, make_norm, support
+from hlab.norms import _tan_pi, euclidean_approx, gauge, l1_norm, linf_norm, make_norm, support
 
 from conftest import random_hexagon_norm
 
@@ -136,3 +142,34 @@ class TestEuclideanApprox:
         r3 = euclidean_approx(3).ratio_bound
         r8 = euclidean_approx(8).ratio_bound
         assert 1 < r8 < r3
+
+    # k with a parameter near a tie between two best approximations (2378/5741
+    # and 3363/8119 at pi/8), where a float tangent picks the wrong one
+    NEAR_TIES = (52, 104, 188, 208, 332, 376, 396)
+
+    def test_parameters_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k in list(range(3, 65)) + list(self.NEAR_TIES):
+            with mpmath.workdps(30):
+                expected = [
+                    Fraction(mpmath.nstr(mpmath.tan(mpmath.pi * i / (2 * k)), 25))
+                    .limit_denominator(10**4)
+                    for i in range(k)
+                ]
+            got = [_tan_pi(i, 2 * k).limit_denominator(10**4) for i in range(k)]
+            assert got == expected, k
+
+    def test_imports_without_mpmath(self):
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["mpmath"] = None  # any import of mpmath now fails
+            import hlab
+            print(hlab.euclidean_approx(12).inner.unit_ball.n)
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "24\n"
