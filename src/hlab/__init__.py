@@ -3,7 +3,7 @@ f(r) = B_r(A) n B in the Hausdorff metric over polyhedral norms."""
 
 from ._scalar import BACKEND, Rat, format_rat, rat
 from .geometry import ConvexPolygon, Membership, Point, Segment, clip_segment, contains_point, orientation, pt
-from .norms import NormSandwich, PolyhedralNorm, euclidean_approx, gauge, l1_norm, linf_norm, make_norm, support
+from .norms import NormSandwich, PolyhedralNorm, euclidean_approx, l1_norm, linf_norm, support
 from .convex_ops import (
     DistanceWitness,
     hausdorff,

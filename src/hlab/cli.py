@@ -198,7 +198,7 @@ def cmd_oracle(args) -> int:
         raise DomainError(str(exc)) from exc
     try:
         lo, hi = grid_oracle_hausdorff(scene.A, list(scene.b_parts), scene.norm, step)
-    except ValueError as exc:  # step not positive, or too coarse to sample a part
+    except ValueError as exc:  # step not positive, too fine, or too coarse to sample a part
         raise UsageError(f"--step: {exc}") from exc
     _emit({
         "step": format_rat(step),

@@ -143,12 +143,14 @@ def verify_modulus(A: ConvexPolygon, B: ConvexPolygon, r: Rat, epsilon: Rat,
                              max(gaps), witness=witness)
 
     right_report = sampled(right, "right", R1 if right.delta is None else min(right.delta, R1))
-    d = set_distance(A, B, n)
-    if r == d:
+    try:
+        left = delta_left(A, B, r, epsilon, n)
+    except DomainError:  # delta_right has ruled out r < |A B| and epsilon <= 0
         return right_report, ModulusReport(r, (), epsilon, "left", True, R0,
                                            note="not applicable at domain endpoint")
-    left = delta_left(A, B, r, epsilon, n)
-    return right_report, sampled(left, "left", -min(left.delta, r - d, R1))
+    # g(M) <= B puts each vertex of g(M) at distance >= |A B| from A, so
+    # delta_left <= r - |A B| whenever |A B| > 0
+    return right_report, sampled(left, "left", -min(left.delta, r, R1))
 
 
 @dataclass(frozen=True)
@@ -274,11 +276,18 @@ def grid_oracle_hausdorff(P: PolyOrUnion, Q: PolyOrUnion, n: PolyhedralNorm,
     distance, from lattice-plus-boundary samplings of both sets.
 
     The bracket half-width is 3/4 of one grid-cell diameter under the norm.
+    More than 2**18 lattice nodes in the parts' bounding boxes is refused
+    before any sampling.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     Ps = [P] if isinstance(P, ConvexPolygon) else list(P)
     Qs = [Q] if isinstance(Q, ConvexPolygon) else list(Q)
+    nodes = sum((rat_floor(x1 / step) - rat_ceil(x0 / step) + 1)
+                * (rat_floor(y1 / step) - rat_ceil(y0 / step) + 1)
+                for x0, x1, y0, y1 in (part.bounding_box() for part in Ps + Qs))
+    if nodes > 2**18:
+        raise ValueError("grid too fine")
     cell = step * max(n.gauge(Point(R1, R1)), n.gauge(Point(R1, -R1)))
     spacing = cell / 2
     S = _grid_samples(Ps, n, step, spacing)

@@ -1,15 +1,22 @@
 """Set-level vocabulary: neighborhoods, intersections, distances, Hausdorff.
 
-Distances are taken in an arbitrary polyhedral norm.  The point-to-polygon
-solver enumerates a complete finite candidate set (polygon vertices plus the
-edge points where the displacement crosses a cone ray of the unit ball), so
-the minimum is exact.  Set-to-set distances reduce to a single point query
-against a Minkowski difference.
+Distances are taken in an arbitrary polyhedral norm with unit ball K, and
+every one of them comes from one kernel over support functions h:
 
-Directed Hausdorff distances are evaluated over source vertices only: the
-distance-to-a-convex-set function is convex, so its maximum over a convex
-compact is attained at an extreme point; against a union of convex parts
-it only brackets the value, and an open bracket is refused.
+    excess(P, Q) = max over x in P of sd_Q(x)
+                 = max over directions u of (h_P(u) - h_Q(u)) / h_K(u),
+
+with sd_Q the signed distance to Q (the distance outside Q, minus the depth
+inside).  sd_Q is convex, so its maximum over P swaps with the maximum over
+u; the ratio is linear-fractional on each cone of the common normal fan of
+P, Q and K, so only their edge normals need to be tried (Schneider, *Convex
+Bodies*, section 1.8).  A point has no edge normals, so sd_Q(x) is the
+excess of {x}; the Hausdorff distance is max(0, excess(P, Q), excess(Q, P));
+the distance between two sets is that from the origin to Q + (-P).
+
+Against a union of convex parts the distance is no longer convex: each
+directed pass is pinned per source part between a vertex bound and the
+convex bound min_j excess(P, Q_j), and an open bracket is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._scalar import R0, R1, Rat, format_rat
+from ._scalar import R0, Rat, format_rat
 from .geometry import (
     ORIGIN,
     ConvexPolygon,
@@ -113,11 +120,8 @@ def neighborhood(A: ConvexPolygon, r: Rat, n: PolyhedralNorm) -> ConvexPolygon:
 
 
 def intersect(P: ConvexPolygon, Q: ConvexPolygon) -> Optional[ConvexPolygon]:
-    """Exact convex intersection; None when disjoint."""
-    if P.n <= 2:
-        return _intersect_degenerate(P, Q)
-    if Q.n <= 2:
-        return _intersect_degenerate(Q, P)
+    """Exact convex intersection; None when disjoint.  A point or a segment
+    has one (possibly degenerate) edge, so every operand takes one path."""
     candidates: list[Point] = []
     for e in P.edges():
         c = clip_segment(e, Q)
@@ -131,58 +135,34 @@ def intersect(P: ConvexPolygon, Q: ConvexPolygon) -> Optional[ConvexPolygon]:
     return ConvexPolygon.hull(candidates)
 
 
-def _intersect_degenerate(D: ConvexPolygon, Q: ConvexPolygon) -> Optional[ConvexPolygon]:
-    if D.is_point:
-        p = D.vertices[0]
-        return D if contains_point(Q, p) != Membership.OUTSIDE else None
-    c = clip_segment(Segment(D.vertices[0], D.vertices[1]), Q)
-    if c is None:
-        return None
-    return ConvexPolygon.hull([c.a, c.b])
+def _excess(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
+    """max over x in P of sd_Q(x), over the edge normals of P, Q and K."""
+    K = n.unit_ball
+    return max((support(P, u) - support(Q, u)) / support(K, u)
+               for u in P.edge_normals() + Q.edge_normals() + K.edge_normals())
 
 
 def point_distance(x: Point, P: ConvexPolygon, n: PolyhedralNorm) -> DistanceWitness:
     """Exact gauge distance from x to P with a realizing projection point.
 
-    Ties are broken toward the lexicographically smallest realizer; the full
-    metric projection may be a segment, of which this is one endpoint.
+    The projection is the lexicographically smallest point of P nearest x,
+    the first vertex of P n (x + d K); the full metric projection may be a
+    segment, of which this is one endpoint.
     """
-    if contains_point(P, x) != Membership.OUTSIDE:
+    d = max(R0, signed_distance(x, P, n))
+    if d == 0:
         return DistanceWitness(R0, x)
-    candidates = list(P.vertices)
-    for e in P.edges():  # a point's one degenerate edge adds no candidate
-        d, xa = e.b - e.a, x - e.a
-        for w in n.unit_ball.vertices:
-            denom = d.cross(w)
-            if denom == 0:
-                continue
-            # a on the edge with (x - a) parallel to the ball vertex w
-            s = xa.cross(w) / denom
-            if R0 < s < R1:
-                candidates.append(e.a + d.scaled(s))
-    best: Optional[Point] = None
-    best_d: Optional[Rat] = None
-    for a in candidates:
-        dist = n.gauge(x - a)
-        if best_d is None or dist < best_d or (dist == best_d and a.key() < best.key()):
-            best, best_d = a, dist
-    return DistanceWitness(best_d, best)
+    return DistanceWitness(d, intersect(P, n.ball_of_radius(d).translate(x)).vertices[0])
 
 
 def signed_distance(x: Point, P: ConvexPolygon, n: PolyhedralNorm) -> Rat:
-    """Gauge distance from x to P outside P, minus the depth of x inside P:
-    max over directions u of (<x, u> - h_P(u)) / h_K(u), K the unit ball.
-    The ratio is linear-fractional on each cone of the common normal fan of
-    P and K, so its maximum sits at an edge normal of P or of K."""
-    K = n.unit_ball
-    return max((x.dot(u) - support(P, u)) / support(K, u)
-               for u in P.edge_normals() + K.edge_normals())
+    """Gauge distance from x to P outside P, minus the depth of x inside P."""
+    return _excess(ConvexPolygon((x,)), P, n)
 
 
 def set_distance(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
     """min over p in P, q in Q of the gauge distance; 0 iff the sets meet."""
-    diff = minkowski_sum(Q, P.reflected())
-    return point_distance(ORIGIN, diff, n).distance
+    return max(R0, signed_distance(ORIGIN, minkowski_sum(Q, P.reflected()), n))
 
 
 def segment_distance(s: Segment, P: ConvexPolygon, n: PolyhedralNorm) -> Rat:
@@ -190,19 +170,19 @@ def segment_distance(s: Segment, P: ConvexPolygon, n: PolyhedralNorm) -> Rat:
 
 
 def hausdorff(P: ConvexPolygon, Q: ConvexPolygon, n: PolyhedralNorm) -> Rat:
-    return hausdorff_union((P,), (Q,), n)
+    return max(R0, _excess(P, Q, n), _excess(Q, P, n))
 
 
 def _directed_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],
                     n: PolyhedralNorm) -> Rat:
     """sup over the union of Ps of the distance to the union of Qs, pinned on
-    each part P between max_v min_j |v Q_j| and min_j max_v |v Q_j| over its
-    vertices v (each |. Q_j| is convex); ValueError unless the bounds meet."""
+    each part P between max_v min_j |v Q_j| over its vertices v and
+    min_j sup_P |. Q_j| (each |. Q_j| is convex); ValueError unless the
+    bounds meet."""
     lower = upper = R0
     for P in Ps:
-        table = [[point_distance(v, Q, n).distance for Q in Qs] for v in P.vertices]
-        lower = max(lower, max(min(row) for row in table))
-        upper = max(upper, min(max(col) for col in zip(*table)))
+        lower = max(lower, max(min(signed_distance(v, Q, n) for Q in Qs) for v in P.vertices))
+        upper = max(upper, min(max(R0, _excess(P, Q, n)) for Q in Qs))
     if lower != upper:
         raise ValueError("union Hausdorff distance not certified: vertex bounds "
                          f"{format_rat(lower)} and {format_rat(upper)} differ")
@@ -211,7 +191,7 @@ def _directed_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],
 
 def hausdorff_union(Ps: Sequence[ConvexPolygon], Qs: Sequence[ConvexPolygon],
                     n: PolyhedralNorm) -> Rat:
-    """Hausdorff distance between finite unions, vertex-enumerated per part."""
+    """Hausdorff distance between finite unions, certified per part."""
     if not Ps or not Qs:
         raise ValueError("empty union")
     return max(_directed_union(Ps, Qs, n), _directed_union(Qs, Ps, n))

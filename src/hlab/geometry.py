@@ -72,6 +72,8 @@ class Segment:
         return self.a + (self.b - self.a).scaled(t)
 
     def contains(self, p: Point) -> bool:
+        if self.is_degenerate:
+            return p == self.a
         if orientation(self.a, self.b, p) != 0:
             return False
         d = self.b - self.a

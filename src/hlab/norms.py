@@ -50,14 +50,6 @@ class PolyhedralNorm:
         return self.unit_ball.scaled(r)
 
 
-def make_norm(ball: ConvexPolygon) -> PolyhedralNorm:
-    return PolyhedralNorm(ball)
-
-
-def gauge(n: PolyhedralNorm, v: Point) -> Rat:
-    return n.gauge(v)
-
-
 def support(P: ConvexPolygon, u: Point) -> Rat:
     """Support function h_P(u) = max over vertices of <vertex, u>."""
     if u.x == 0 and u.y == 0:
@@ -66,19 +58,19 @@ def support(P: ConvexPolygon, u: Point) -> Rat:
 
 
 def linf_norm() -> PolyhedralNorm:
-    return make_norm(ConvexPolygon.hull([pt(1, 1), pt(-1, 1), pt(-1, -1), pt(1, -1)]))
+    return PolyhedralNorm(ConvexPolygon.hull([pt(1, 1), pt(-1, 1), pt(-1, -1), pt(1, -1)]))
 
 
 def l1_norm() -> PolyhedralNorm:
-    return make_norm(ConvexPolygon.hull([pt(1, 0), pt(0, 1), pt(-1, 0), pt(0, -1)]))
+    return PolyhedralNorm(ConvexPolygon.hull([pt(1, 0), pt(0, 1), pt(-1, 0), pt(0, -1)]))
 
 
 @dataclass(frozen=True)
 class NormSandwich:
     """inner unit ball <= Euclidean unit disc <= outer unit ball.
 
-    For every vector, gauge(outer, v) <= |v|_2 <= gauge(inner, v) and
-    gauge(inner, v) / gauge(outer, v) <= ratio_bound.
+    For every vector, outer.gauge(v) <= |v|_2 <= inner.gauge(v) and
+    inner.gauge(v) / outer.gauge(v) <= ratio_bound.
     """
 
     inner: PolyhedralNorm
@@ -134,11 +126,11 @@ def euclidean_approx(k: int) -> NormSandwich:
     params = [_tan_pi(i, 2 * k).limit_denominator(10**4) for i in range(k)]
     upper = [_circle_point(rat(t)) for t in params]
     inner_ball = ConvexPolygon.hull(upper + [p.scaled(rat(-1)) for p in upper])
-    inner = make_norm(inner_ball)
+    inner = PolyhedralNorm(inner_ball)
     # squared reciprocal distance from the origin to each chord is rational
     worst = max(a.dot(a) / (b * b) for a, b in inner._edge_normals)
     s = _sqrt_upper_bound(worst)
-    outer = make_norm(inner_ball.scaled(s))
+    outer = PolyhedralNorm(inner_ball.scaled(s))
     # certify disc <= outer: every outer edge at Euclidean distance >= 1,
     # i.e. b^2 >= |a|^2 for the edge line <a, x> = b
     for a, b in outer._edge_normals:

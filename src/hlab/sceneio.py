@@ -14,7 +14,7 @@ from typing import Any
 
 from ._scalar import Rat, format_rat, rat
 from .geometry import ConvexPolygon, Point
-from .norms import euclidean_approx, l1_norm, linf_norm, make_norm
+from .norms import PolyhedralNorm, euclidean_approx, l1_norm, linf_norm
 from .scenarios import Scene
 
 
@@ -60,7 +60,7 @@ def _parse_norm(obj: Any) -> tuple:
     if kind == "ball":
         ball = parse_polygon(obj.get("ball"), "norm.ball")
         try:
-            norm = make_norm(ball)
+            norm = PolyhedralNorm(ball)
         except ValueError as exc:
             raise SceneFormatError(f"norm.ball: {exc}") from exc
         return norm, {"kind": "ball", "ball": polygon_to_json(ball)}

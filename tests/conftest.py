@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hlab import ConvexPolygon, linf_norm, l1_norm, make_norm
+from hlab import ConvexPolygon, PolyhedralNorm, linf_norm, l1_norm
 from hlab._scalar import rat
 from hlab.geometry import Point
 
@@ -37,7 +37,7 @@ def random_hexagon_norm(rng: random.Random):
             [a, b, c, a.scaled(rat(-1)), b.scaled(rat(-1)), c.scaled(rat(-1))])
         if ball.n == 6:
             try:
-                return make_norm(ball)
+                return PolyhedralNorm(ball)
             except ValueError:
                 continue
 

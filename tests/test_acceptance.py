@@ -10,7 +10,7 @@ import time
 
 from hlab._scalar import rat
 from hlab.geometry import pt
-from hlab.norms import gauge, l1_norm, linf_norm, support
+from hlab.norms import l1_norm, linf_norm, support
 from hlab.convex_ops import (
     hausdorff,
     minkowski_sum,
@@ -92,7 +92,7 @@ def test_criterion_4_oracle_equivalence():
     rng = random.Random(42)
     step = rat(1, 64)
     n = linf_norm()
-    cell = step * max(gauge(n, pt(1, 1)), gauge(n, pt(1, -1)))
+    cell = step * max(n.gauge(pt(1, 1)), n.gauge(pt(1, -1)))
     for _ in range(20):
         P = random_polygon(rng, lo=-1, hi=1)
         Q = random_polygon(rng, lo=-1, hi=1)
@@ -151,7 +151,7 @@ def test_criterion_6_distance_identity_suite():
         x, y = random_point(rng), random_point(rng)
         dx = point_distance(x, P, n).distance
         dy = point_distance(y, P, n).distance
-        assert abs(dx - dy) <= gauge(n, x - y)
+        assert abs(dx - dy) <= n.gauge(x - y)
     # projection-ray distance equality
     done = 0
     while done < 100:
@@ -163,7 +163,7 @@ def test_criterion_6_distance_identity_suite():
         y = w.projection_point
         for lam in (rat(1), rat(2), rat(3)):
             z = y + (x - y).scaled(lam)
-            assert point_distance(z, P, n).distance == gauge(n, z - y)
+            assert point_distance(z, P, n).distance == n.gauge(z - y)
         done += 1
     _report(6, "boundary-distance, 1-Lipschitz and projection-ray identities "
                "(50 + 500 + 100 cases, exact)")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import hlab.continuity as continuity
 from hlab._scalar import rat
 from hlab.cli import main
 from hlab.continuity import f_eval
@@ -203,6 +204,12 @@ class TestOracle:
         assert (code, out) == (1, "")
         assert err == f"hlab: --step: {message}\n"
 
+    def test_lattice_cap_exit_1_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled a lattice over the cap")
+        monkeypatch.setattr(continuity, "_grid_samples", no_sampling)
+        code, out, err = run(capsys, "oracle", WORKED, "--step", "1/100000")
+        assert (code, out, err) == (1, "", "hlab: --step: grid too fine\n")
 
     def test_uncertified_union_distance_exit_2(self, tmp_path, capsys):
         # the midpoint of A lies between the two parts of B: d_H = 1, while the

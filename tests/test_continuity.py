@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+import hlab.continuity as continuity
 from hlab._scalar import R0, rat
 from hlab.geometry import ConvexPolygon, Membership, Point, Segment, clip_segment, contains_point, pt
 from hlab.norms import euclidean_approx, l1_norm, linf_norm
@@ -237,6 +238,15 @@ class TestVerifyModulus:
         _, endpoint = verify_modulus(A, B, rat(1), eps, N)
         assert endpoint.witness is None
 
+    def test_left_window_capped_at_r_when_sets_meet(self):
+        # |A B| = 0 and delta_left = 3/2 > r: the left window is (0, r]
+        P, Q, r, samples = box(0, 0, 4, 4), box(1, 1, 2, 2), rat(1, 2), 3
+        _, left = verify_modulus(P, Q, r, rat(1, 4), N, samples=samples)
+        assert left.witness.delta == rat(3, 2)
+        assert left.r_prime_samples == tuple(r - r * i / (samples + 1)
+                                             for i in range(1, samples + 1))
+        assert left.all_passed
+
     def test_radius_error_precedes_epsilon_error(self):
         with pytest.raises(DomainError, match="radius below set distance"):
             verify_modulus(A, B, rat(1, 2), R0, N)
@@ -301,6 +311,16 @@ class TestGridOracle:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step must be positive"):
             grid_oracle_hausdorff(A, B, N, R0)
+
+    def test_lattice_capped_before_sampling(self, monkeypatch):
+        # a diagonal segment holds 513 lattice nodes at step 1/512, but its
+        # bounding box holds 513^2 > 2**18
+        def no_sampling(*args):
+            raise AssertionError("sampled a lattice over the cap")
+        monkeypatch.setattr(continuity, "_grid_samples", no_sampling)
+        diagonal = ConvexPolygon.hull([pt(0, 0), pt(1, 1)])
+        with pytest.raises(ValueError, match="grid too fine"):
+            grid_oracle_hausdorff(diagonal, ConvexPolygon.hull([pt(0, 0)]), N, rat(1, 512))
 
 
 class TestModulusScan:

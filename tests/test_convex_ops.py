@@ -3,8 +3,9 @@ import random
 import pytest
 
 from hlab._scalar import R0, rat, rat_ceil, rat_floor
-from hlab.geometry import ConvexPolygon, Membership, Point, Segment, contains_point, pt
-from hlab.norms import euclidean_approx, gauge, l1_norm, linf_norm, support
+from hlab.geometry import (ORIGIN, ConvexPolygon, Membership, Point, Segment, clip_segment,
+                           contains_point, pt)
+from hlab.norms import euclidean_approx, l1_norm, linf_norm, support
 from hlab.convex_ops import (
     hausdorff,
     hausdorff_union,
@@ -125,7 +126,7 @@ class TestPointDistance:
         w = point_distance(pt(2, rat(1, 2)), SQ, linf)
         assert w.distance == 1
         assert w.projection_point == pt(1, 0)
-        assert gauge(linf, pt(2, rat(1, 2)) - pt(1, rat(1, 2))) == w.distance
+        assert linf.gauge(pt(2, rat(1, 2)) - pt(1, rat(1, 2))) == w.distance
 
     def test_interior_point(self, linf):
         w = point_distance(pt(rat(1, 2), rat(1, 2)), SQ, linf)
@@ -137,12 +138,12 @@ class TestPointDistance:
     def test_matches_grid_brute_force(self, rng, l1, linf):
         step = rat(1, 64)
         for norm in (l1, linf):
-            bound = 2 * step * max(gauge(norm, pt(1, 1)), gauge(norm, pt(1, -1)))
+            bound = 2 * step * max(norm.gauge(pt(1, 1)), norm.gauge(pt(1, -1)))
             for _ in range(5):
                 P = random_polygon(rng, lo=-2, hi=2)
                 x = random_point(rng, lo=-4, hi=4)
                 exact = point_distance(x, P, norm).distance
-                brute = min(gauge(norm, x - q) for q in grid_points(P, step))
+                brute = min(norm.gauge(x - q) for q in grid_points(P, step))
                 assert exact <= brute <= exact + bound
 
     def test_witness_lies_in_set_and_realizes(self, rng, l1):
@@ -151,7 +152,7 @@ class TestPointDistance:
             x = random_point(rng)
             w = point_distance(x, P, l1)
             assert contains_point(P, w.projection_point) != Membership.OUTSIDE
-            assert gauge(l1, x - w.projection_point) == w.distance
+            assert l1.gauge(x - w.projection_point) == w.distance
 
 
 class TestSignedDistance:
@@ -181,7 +182,7 @@ class TestSignedDistance:
         for n in (linf_norm(), l1_norm(), random_hexagon_norm(rng)):
             for _ in range(10):
                 q, x = random_point(rng), random_point(rng)
-                assert signed_distance(x, ConvexPolygon.hull([q]), n) == gauge(n, x - q)
+                assert signed_distance(x, ConvexPolygon.hull([q]), n) == n.gauge(x - q)
 
 
 class TestSegmentAndSetDistance:
@@ -199,7 +200,7 @@ class TestSegmentAndSetDistance:
         step = rat(1, 128)
         seg_pts = [s.point_at(rat(i, 128)) for i in range(129)]
         brute = min(point_distance(q, tri, l1).distance for q in seg_pts)
-        bound = 2 * step * gauge(l1, s.b - s.a)
+        bound = 2 * step * l1.gauge(s.b - s.a)
         assert exact <= brute <= exact + bound
 
     def test_identical_sets(self, linf):
@@ -259,6 +260,63 @@ class TestHausdorff:
     def test_empty_union(self, linf):
         with pytest.raises(ValueError, match="empty union"):
             hausdorff_union([], [SQ], linf)
+
+
+def enumerated_point_distance(x, P, n):
+    """Candidate-enumeration point distance (test oracle): the least gauge
+    over P's vertices and the edge points a with x - a parallel to a vertex
+    of the unit ball, ties broken toward the lexicographically smallest a."""
+    if contains_point(P, x) != Membership.OUTSIDE:
+        return R0, x
+    candidates = list(P.vertices)
+    for e in P.edges():
+        d, xa = e.b - e.a, x - e.a
+        for w in n.unit_ball.vertices:
+            denom = d.cross(w)
+            if denom != 0 and 0 < xa.cross(w) / denom < 1:
+                candidates.append(e.a + d.scaled(xa.cross(w) / denom))
+    best = min(candidates, key=lambda a: (n.gauge(x - a), a.key()))
+    return n.gauge(x - best), best
+
+
+def degenerate_intersect(P, Q):
+    """Intersection with a point or segment operand by direct membership and
+    clipping (test oracle)."""
+    D, other = (P, Q) if P.n <= 2 else (Q, P)
+    if D.is_point:
+        return D if contains_point(other, D.vertices[0]) != Membership.OUTSIDE else None
+    c = clip_segment(Segment(D.vertices[0], D.vertices[1]), other)
+    return None if c is None else ConvexPolygon.hull([c.a, c.b])
+
+
+class TestAgainstEnumeration:
+    """The support-function kernel against the candidate enumeration."""
+
+    @staticmethod
+    def shapes(rng):
+        P, Q = random_polygon(rng, lo=-2, hi=2), random_polygon(rng, lo=-2, hi=2)
+        return [P, ConvexPolygon.hull(P.vertices[:2]), ConvexPolygon.hull(P.vertices[:1]),
+                Q, ConvexPolygon.hull(Q.vertices[-2:]), ConvexPolygon.hull(Q.vertices[-1:]),
+                P.translate(random_point(rng, -3, 3, 4)),
+                ConvexPolygon.hull([v + random_point(rng, -1, 1, 4) for v in P.vertices])]
+
+    def test_match_on_random_shapes(self, rng):
+        norms = (linf_norm(), l1_norm(), random_hexagon_norm(rng), euclidean_approx(4).inner)
+        for n in norms:
+            for _ in range(2):
+                shapes = self.shapes(rng)
+                for X in shapes:
+                    for x in list(shapes[3].vertices) + [random_point(rng) for _ in range(4)]:
+                        w = point_distance(x, X, n)
+                        assert (w.distance, w.projection_point) == enumerated_point_distance(x, X, n)
+                    for Y in shapes:
+                        assert hausdorff(X, Y, n) == max(
+                            [enumerated_point_distance(v, Y, n)[0] for v in X.vertices]
+                            + [enumerated_point_distance(v, X, n)[0] for v in Y.vertices])
+                        diff = minkowski_sum(Y, X.reflected())
+                        assert set_distance(X, Y, n) == enumerated_point_distance(ORIGIN, diff, n)[0]
+                        if X.n <= 2 or Y.n <= 2:
+                            assert intersect(X, Y) == degenerate_intersect(X, Y)
 
 
 class TestSubsetOf:

@@ -152,6 +152,13 @@ class TestClipSegment:
         c = clip_segment(Segment(pt(1, -1), pt(1, 1)), P)
         assert c.a == c.b == pt(1, 0)
 
+    def test_point_against_point(self):
+        p, q = pt(1, 2), pt(3, 4)
+        assert not Segment(p, p).contains(q)
+        assert clip_segment(Segment(p, p), ConvexPolygon.hull([q])) is None
+        c = clip_segment(Segment(q, q), ConvexPolygon.hull([q]))
+        assert c.a == c.b == q
+
     @given(points, points, st.lists(points, min_size=3, max_size=8))
     def test_output_inside_polygon_and_on_line(self, a, b, pts):
         P = ConvexPolygon.hull(pts)

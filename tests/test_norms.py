@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from hlab._scalar import rat
 from hlab.geometry import ConvexPolygon, Membership, Point, contains_point, pt
-from hlab.norms import _tan_pi, euclidean_approx, gauge, l1_norm, linf_norm, make_norm, support
+from hlab.norms import PolyhedralNorm, _tan_pi, euclidean_approx, l1_norm, linf_norm, support
 
 from conftest import random_hexagon_norm
 
@@ -25,63 +25,63 @@ class TestMakeNorm:
     def test_linf_ball(self):
         n = linf_norm()
         assert n.unit_ball.n == 4
-        assert gauge(n, pt(1, 1)) == 1
+        assert n.gauge(pt(1, 1)) == 1
 
     def test_l1_ball(self):
-        assert gauge(l1_norm(), pt(rat(1, 2), rat(1, 2))) == 1
+        assert l1_norm().gauge(pt(rat(1, 2), rat(1, 2))) == 1
 
     def test_asymmetric_rejected(self):
         tri = ConvexPolygon.hull([pt(0, 0), pt(1, 0), pt(0, 1)])
         with pytest.raises(ValueError, match="ball not centrally symmetric"):
-            make_norm(tri)
+            PolyhedralNorm(tri)
 
     def test_degenerate_ball_rejected(self):
         # symmetric but collinear: collapses to a segment, not a 2D ball
         seg = ConvexPolygon.hull([pt(2, 0), pt(1, 0), pt(-1, 0), pt(-2, 0)])
         with pytest.raises(ValueError):
-            make_norm(seg)
+            PolyhedralNorm(seg)
 
     def test_shifted_ball_rejected(self):
         shifted = ConvexPolygon.hull([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)])
         with pytest.raises(ValueError):
-            make_norm(shifted)
+            PolyhedralNorm(shifted)
 
 
 class TestGauge:
     def test_linf_value(self):
-        assert gauge(linf_norm(), pt(3, -2)) == 3
+        assert linf_norm().gauge(pt(3, -2)) == 3
 
     def test_zero_vector(self):
-        assert gauge(l1_norm(), pt(0, 0)) == 0
+        assert l1_norm().gauge(pt(0, 0)) == 0
 
     @given(vectors, st.fractions(min_value=0, max_value=4, max_denominator=8))
     def test_positive_homogeneity(self, v, t):
         n = l1_norm()
-        assert gauge(n, v.scaled(rat(t))) == rat(t) * gauge(n, v)
+        assert n.gauge(v.scaled(rat(t))) == rat(t) * n.gauge(v)
 
     @given(vectors)
     def test_symmetry(self, v):
         n = linf_norm()
-        assert gauge(n, v.scaled(rat(-1))) == gauge(n, v)
+        assert n.gauge(v.scaled(rat(-1))) == n.gauge(v)
 
     @given(vectors, vectors)
     def test_triangle_inequality(self, v, w):
         for n in (linf_norm(), l1_norm()):
-            assert gauge(n, v + w) <= gauge(n, v) + gauge(n, w)
+            assert n.gauge(v + w) <= n.gauge(v) + n.gauge(w)
 
     @given(vectors)
     def test_unit_ball_is_sublevel_set(self, v):
         n = l1_norm()
         inside = contains_point(n.unit_ball, v) != Membership.OUTSIDE
-        assert (gauge(n, v) <= 1) == inside
+        assert (n.gauge(v) <= 1) == inside
 
     def test_random_hexagon_norm_axioms(self, rng):
         n = random_hexagon_norm(rng)
         from conftest import random_point
         for _ in range(50):
             v, w = random_point(rng), random_point(rng)
-            assert gauge(n, v + w) <= gauge(n, v) + gauge(n, w)
-            assert gauge(n, v.scaled(rat(-1))) == gauge(n, v)
+            assert n.gauge(v + w) <= n.gauge(v) + n.gauge(w)
+            assert n.gauge(v.scaled(rat(-1))) == n.gauge(v)
 
 
 class TestSupport:
@@ -111,8 +111,8 @@ class TestEuclideanApprox:
 
     def test_gauge_on_axis(self):
         s = euclidean_approx(3)
-        assert gauge(s.inner, pt(1, 0)) == 1
-        assert gauge(s.outer, pt(1, 0)) <= 1
+        assert s.inner.gauge(pt(1, 0)) == 1
+        assert s.outer.gauge(pt(1, 0)) <= 1
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_inner_vertices_on_unit_circle(self, k):
@@ -135,7 +135,7 @@ class TestEuclideanApprox:
         s = euclidean_approx(k)
         for _ in range(30):
             v = random_point(rng)
-            gi, go = gauge(s.inner, v), gauge(s.outer, v)
+            gi, go = s.inner.gauge(v), s.outer.gauge(v)
             assert go <= gi <= s.ratio_bound * go
 
     def test_ratio_bound_shrinks_with_k(self):

@@ -8,7 +8,7 @@ import pytest
 
 from hlab._scalar import rat
 from hlab.geometry import ConvexPolygon, pt
-from hlab.norms import gauge, l1_norm, linf_norm
+from hlab.norms import l1_norm, linf_norm
 from hlab.convex_ops import (
     hausdorff,
     neighborhood,
@@ -43,7 +43,7 @@ class TestDistanceIsOneLipschitz:
             x, y = random_point(rng), random_point(rng)
             dx = point_distance(x, P, l1).distance
             dy = point_distance(y, P, l1).distance
-            assert abs(dx - dy) <= gauge(l1, x - y)
+            assert abs(dx - dy) <= l1.gauge(x - y)
 
 
 class TestProjectionRay:
@@ -60,7 +60,7 @@ class TestProjectionRay:
             y = w.projection_point
             for lam in (rat(1), rat(2), rat(3)):
                 z = y + (x - y).scaled(lam)
-                assert point_distance(z, P, linf).distance == gauge(linf, z - y)
+                assert point_distance(z, P, linf).distance == linf.gauge(z - y)
             done += 1
 
 
