@@ -34,6 +34,10 @@ from .sceneio import SceneFormatError, load_scene, parse_rational, polygon_to_js
 from .svg import render_scan_svg, render_scene_svg
 
 
+# largest gap table `scan` computes: one f(r) and one Hausdorff distance per row
+MAX_STEPS = 4096
+
+
 class UsageError(Exception):
     pass
 
@@ -133,6 +137,8 @@ def cmd_witness(args) -> int:
 def cmd_scan(args) -> int:
     if args.steps < 1:
         raise UsageError("steps must be >= 1")
+    if args.steps > MAX_STEPS:
+        raise UsageError(f"steps must be <= {MAX_STEPS}")
     scene = load_scene(args.scene)
     if scene.r_range is None:
         raise SceneFormatError("r_range: missing from scene")

@@ -21,11 +21,13 @@ each verified radius is a machine-checked instance of the theorem.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from ._scalar import R0, R1, Rat, rat, rat_ceil, rat_floor
-from .geometry import ConvexPolygon, Point, Segment, clip_segment
+from .geometry import ConvexPolygon, Point, clip_segment
 from .norms import PolyhedralNorm
 from .convex_ops import (hausdorff, intersect, neighborhood, segment_distance, set_distance,
                          signed_distance)
@@ -187,84 +189,127 @@ def modulus_scan(A: ConvexPolygon, B: ConvexPolygon, n: PolyhedralNorm,
     return modulus_table(A, B, n, [r_lo + h * j for j in range(steps)], h)
 
 
-def _grid_samples(parts: Sequence[ConvexPolygon], n: PolyhedralNorm,
-                  step: Rat, spacing: Rat) -> list[Point]:
-    """Sample points of a union: lattice nodes inside each part plus boundary
-    points at gauge spacing <= ``spacing``.  Covering radius of the result is
-    at most cell_diameter/2 + spacing/2."""
-    out: list[Point] = []
-    for P in parts:
-        out.extend(P.vertices)
-        for e in P.edges():
-            if e.is_degenerate:
-                continue
-            glen = n.gauge(e.b - e.a)
-            m = rat_ceil(glen / spacing)
-            for j in range(1, m):
-                out.append(e.point_at(rat(j, m)))
-        xmin, xmax, ymin, ymax = P.bounding_box()
+def _num_den(q: Rat) -> tuple[int, int]:
+    return int(q.numerator), int(q.denominator)
+
+
+def _edge_coords(u0: Rat, u1: Rat, m: int) -> list[tuple[int, int]]:
+    """(u0 (m - j) + u1 j) / m for j = 1 .. m - 1, each as a reduced
+    (numerator, denominator) pair."""
+    (n0, d0), (n1, d1) = _num_den(u0), _num_den(u1)
+    d = lcm(d0, d1)
+    n0, n1, den = n0 * (d // d0), n1 * (d // d1), d * m
+    out = []
+    for j in range(1, m):
+        num = n0 * (m - j) + n1 * j
+        g = gcd(num, den)
+        out.append((num // g, den // g))
+    return out
+
+
+def _boundary_samples(P: ConvexPolygon, n: PolyhedralNorm,
+                      spacing: Rat) -> list[tuple[int, int, int, int]]:
+    """The vertices of P, then the points that split each edge into pieces
+    of gauge length <= ``spacing``, each as (x numerator, x denominator,
+    y numerator, y denominator) in lowest terms."""
+    out = [(*_num_den(v.x), *_num_den(v.y)) for v in P.vertices]
+    for e in P.edges():
+        if e.is_degenerate:
+            continue
+        m = rat_ceil(n.gauge(e.b - e.a) / spacing)
+        out.extend(x + y for x, y in zip(_edge_coords(e.a.x, e.b.x, m),
+                                         _edge_coords(e.a.y, e.b.y, m)))
+    return out
+
+
+def _grid_samples(parts: Sequence[ConvexPolygon], boundaries: list, D: int,
+                  SD: int) -> list[tuple[int, int]]:
+    """Sample points of a union on the integer lattice of pitch 1/D: each
+    part's boundary samples, then every node (jx, jy) * step = (jx, jy) *
+    SD / D inside or on the part.  Covering radius of the result is at most
+    cell_diameter/2 + spacing/2."""
+    out = []
+    for P, boundary in zip(parts, boundaries):
+        pts = [(xn * (D // xd), yn * (D // yd)) for xn, xd, yn, yd in boundary]
+        out += pts
+        V = pts[:P.n]  # the vertices come first
+        xs, ys = [X for X, _ in V], [Y for _, Y in V]
+        x_lo, x_hi = -(-min(xs) // SD), max(xs) // SD
         nodes = 0
-        for jy in range(rat_ceil(ymin / step), rat_floor(ymax / step) + 1):
-            y = step * jy
-            row = clip_segment(Segment(Point(xmin, y), Point(xmax, y)), P)
-            if row is None:
-                continue
-            lo, hi = row.a.x, row.b.x
-            if lo > hi:
-                lo, hi = hi, lo
-            for jx in range(rat_ceil(lo / step), rat_floor(hi / step) + 1):
-                out.append(Point(step * jx, y))
-                nodes += 1
+        for jy in range(-(-min(ys) // SD), max(ys) // SD + 1):
+            Y = jy * SD
+            lo, hi = x_lo, x_hi
+            # the row keeps the nodes X = jx * SD of the bounding box left of
+            # (or on) each CCW edge a -> b: ey * X <= ex * (Y - ay) + ey * ax;
+            # a segment's two opposite edges cut out its line, and a point's
+            # one edge a -> a keeps every node
+            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+                ex, ey = bx - ax, by - ay
+                rhs = ex * (Y - ay) + ey * ax
+                if ey > 0:
+                    hi = min(hi, rhs // (ey * SD))
+                elif ey < 0:
+                    lo = max(lo, -(rhs // (-ey * SD)))
+                elif rhs < 0:
+                    hi = lo - 1
+            out.extend((jx * SD, Y) for jx in range(lo, hi + 1))
+            nodes += max(0, hi - lo + 1)
         if P.n >= 3 and nodes == 0:
             raise ValueError("grid too coarse")
     return out
 
 
-def _finite_directed(S: list[Point], T: list[Point], n: PolyhedralNorm,
-                     step: Rat) -> Rat:
-    """max over s in S of min over t in T of gauge(s - t), by brute force.
+def _finite_directed(S: list, T: list, rows: list, SD: int, unit: int, mb_num: int) -> int:
+    """max over s in S of min over t in T of the scaled gauge of s - t.
 
-    Target points are bucketed on the sampling lattice and searched in
-    expanding Chebyshev rings; a ring at bucket distance k only holds points
-    at gauge distance >= (k-1) * step / mb, which prunes the scan exactly.
+    Points are integer pairs on the common lattice, and the scaled gauge of
+    (X, Y) is max over ``rows`` of |p X + q Y|, an integer.  Target points
+    are bucketed on the sampling lattice (pitch SD); each search walks the
+    bucket rows outward from s, and each row's occupied buckets outward
+    from s's column.  Two exits leave the result exact:
+
+    * prune: a bucket at Chebyshev bucket distance c from the bucket of s
+      only holds points at Chebyshev distance > (c-1) * SD, hence at scaled
+      gauge > (c-1) * unit / mb_num (the unit ball lies in the square of
+      half-side mb); so no bucket, and no row, beyond the integer
+      reach = best * mb_num // unit + 1 holds a target nearer than best;
+    * early break: once s has a target within the current maximum, its
+      minimum cannot raise that maximum, so its search stops there.
     """
-    mb = max(max(abs(v.x), abs(v.y)) for v in n.unit_ball.vertices)
     buckets: dict = {}
     for t in T:
-        key = (rat_floor(t.x / step), rat_floor(t.y / step))
-        buckets.setdefault(key, []).append(t)
-    worst = R0
-    for s in S:
-        kx, ky = rat_floor(s.x / step), rat_floor(s.y / step)
-        best: Optional[Rat] = None
+        buckets.setdefault((t[0] // SD, t[1] // SD), []).append(t)
+    row_cols: dict = {}  # bucket row -> its occupied bucket columns, ascending
+    for bx, by in sorted(buckets):
+        row_cols.setdefault(by, []).append(bx)
+
+    def nearest(X: int, Y: int, bound: int) -> int:
+        """min over T of the scaled gauge of (X, Y) - t, or the first value <= bound."""
+        kx, ky = X // SD, Y // SD
+        best = reach = None
         k = 0
-        while True:
-            if best is not None and (k - 1) * step > best * mb:
-                break
-            ring = []
-            if k == 0:
-                ring.append((kx, ky))
-            else:
-                for dx in range(-k, k + 1):
-                    ring.append((kx + dx, ky - k))
-                    ring.append((kx + dx, ky + k))
-                for dy in range(-k + 1, k):
-                    ring.append((kx - k, ky + dy))
-                    ring.append((kx + k, ky + dy))
-            for key in ring:
-                for t in buckets.get(key, ()):
-                    d = n.gauge(s - t)
-                    if best is None or d < best:
-                        best = d
+        while reach is None or k <= reach:
+            for by in {ky - k, ky + k}:
+                cols = row_cols.get(by, ())
+                i = bisect_left(cols, kx)
+                for js in (range(i, len(cols)), range(i - 1, -1, -1)):
+                    for j in js:
+                        if reach is not None and max(k, abs(cols[j] - kx)) > reach:
+                            break
+                        for tx, ty in buckets[cols[j], by]:
+                            dx, dy = X - tx, Y - ty
+                            d = max([abs(p * dx + q * dy) for p, q in rows])
+                            if d <= bound:
+                                return d
+                            if best is None or d < best:
+                                best, reach = d, d * mb_num // unit + 1
             k += 1
-        if best > worst:
-            worst = best
+        return best
+
+    worst = 0
+    for X, Y in S:
+        worst = max(worst, nearest(X, Y, worst))
     return worst
-
-
-def _finite_hausdorff(S: list[Point], T: list[Point], n: PolyhedralNorm,
-                      step: Rat) -> Rat:
-    return max(_finite_directed(S, T, n, step), _finite_directed(T, S, n, step))
 
 
 PolyOrUnion = Union[ConvexPolygon, Sequence[ConvexPolygon]]
@@ -278,6 +323,16 @@ def grid_oracle_hausdorff(P: PolyOrUnion, Q: PolyOrUnion, n: PolyhedralNorm,
     The bracket half-width is 3/4 of one grid-cell diameter under the norm.
     More than 2**18 lattice nodes in the parts' bounding boxes is refused
     before any sampling.
+
+    The search runs on Python ints.  Every sample of both sets lies on one
+    integer lattice of pitch 1/D, where D is the lcm of the step's
+    denominator and of every vertex and boundary-sample denominator; so a
+    lattice node is (jx, jy) * step * D and a point (x, y) is (x D, y D).
+    The gauge rows (a, b) become the integer rows (p, q) = C a / b over
+    their common denominator C, and for the centrally symmetric ball
+    gauge(v) * C * D = max over half the rows of |p X + q Y|.  The
+    finite Hausdorff distance is thus an integer over C * D, and the one
+    rational built per bracket is that quotient.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -290,8 +345,21 @@ def grid_oracle_hausdorff(P: PolyOrUnion, Q: PolyOrUnion, n: PolyhedralNorm,
         raise ValueError("grid too fine")
     cell = step * max(n.gauge(Point(R1, R1)), n.gauge(Point(R1, -R1)))
     spacing = cell / 2
-    S = _grid_samples(Ps, n, step, spacing)
-    T = _grid_samples(Qs, n, step, spacing)
-    H = _finite_hausdorff(S, T, n, step)
+    bS = [_boundary_samples(part, n, spacing) for part in Ps]
+    bT = [_boundary_samples(part, n, spacing) for part in Qs]
+    step_num, step_den = _num_den(step)
+    D = lcm(step_den, *{d for b in bS + bT for s in b for d in (s[1], s[3])})
+    SD = step_num * (D // step_den)
+    S, T = _grid_samples(Ps, bS, D, SD), _grid_samples(Qs, bT, D, SD)
+    # the ball is centrally symmetric: edge i + n/2 is edge i reflected, and
+    # its row is row i negated
+    half = n._edge_normals[: len(n._edge_normals) // 2]
+    coeffs = [(_num_den(a.x / b), _num_den(a.y / b)) for a, b in half]
+    C = lcm(*(d for (_, dp), (_, dq) in coeffs for d in (dp, dq)))
+    rows = [(p * (C // dp), q * (C // dq)) for (p, dp), (q, dq) in coeffs]
+    mb_num, mb_den = _num_den(max(max(abs(v.x), abs(v.y)) for v in n.unit_ball.vertices))
+    unit = SD * C * mb_den
+    H = rat(max(_finite_directed(S, T, rows, SD, unit, mb_num),
+                _finite_directed(T, S, rows, SD, unit, mb_num)), C * D)
     err = cell / 2 + spacing / 2
     return (max(R0, H - err), H + err)

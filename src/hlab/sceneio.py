@@ -24,6 +24,9 @@ class SceneFormatError(ValueError):
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
+# largest euclidean_approx k a scene may ask for: the unit ball is a 2k-gon
+MAX_K = 1024
+
 
 def parse_rational(text: Any, key: str) -> Rat:
     if isinstance(text, int) and not isinstance(text, bool):
@@ -68,6 +71,8 @@ def _parse_norm(obj: Any) -> tuple:
         k = obj.get("k")
         if not isinstance(k, int) or isinstance(k, bool):
             raise SceneFormatError("norm.k: expected an integer")
+        if k > MAX_K:
+            raise SceneFormatError(f"norm.k: k must be <= {MAX_K}")
         try:
             sandwich = euclidean_approx(k)
         except ValueError as exc:

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import hlab.cli as cli
 import hlab.continuity as continuity
+import hlab.sceneio as sceneio
 from hlab._scalar import rat
 from hlab.cli import main
 from hlab.continuity import f_eval
@@ -220,6 +222,37 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == ("hlab: union Hausdorff distance not certified: "
                        "vertex bounds 0 and 2 differ\n")
+
+
+class TestSizeCaps:
+    def test_k_at_cap(self, tmp_path, capsys):
+        path = write_scene(tmp_path, norm={"kind": "euclidean_approx", "k": 1024})
+        code, out, err = run(capsys, "eval", path, "--r", "3/2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["r"] == "3/2"
+
+    def test_k_above_cap_exit_1_before_building_the_norm(self, tmp_path, capsys, monkeypatch):
+        def no_norm(k):
+            raise AssertionError("built a norm over the cap")
+        monkeypatch.setattr(sceneio, "euclidean_approx", no_norm)
+        path = write_scene(tmp_path, norm={"kind": "euclidean_approx", "k": 1025})
+        code, out, err = run(capsys, "eval", path)
+        assert (code, out, err) == (1, "", "hlab: norm.k: k must be <= 1024\n")
+
+    def test_steps_at_cap(self, tmp_path, capsys):
+        path = write_scene(tmp_path, A=[["0", "0"]], B=[[["1", "0"]]], r_range=["1", "2"])
+        code, out, err = run(capsys, "scan", path, "--steps", "4096")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4096 and rows[-1] == "8191/4096,2,0,0"
+
+    def test_steps_above_cap_exit_1_before_loading(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("worked on a scan over the cap")
+        monkeypatch.setattr(cli, "load_scene", no_work)
+        monkeypatch.setattr(cli, "modulus_scan", no_work)
+        code, out, err = run(capsys, "scan", WORKED, "--steps", "4097")
+        assert (code, out, err) == (1, "", "hlab: steps must be <= 4096\n")
 
 
 class TestSceneRoundTrip:

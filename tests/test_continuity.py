@@ -2,11 +2,12 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import lcm
 
 import pytest
 
 import hlab.continuity as continuity
-from hlab._scalar import R0, rat
+from hlab._scalar import R0, R1, rat, rat_ceil, rat_floor
 from hlab.geometry import ConvexPolygon, Membership, Point, Segment, clip_segment, contains_point, pt
 from hlab.norms import euclidean_approx, l1_norm, linf_norm
 from hlab.convex_ops import (
@@ -290,6 +291,91 @@ def test_certificates_survive_optimize():
     ]
 
 
+def fraction_grid_samples(parts, n, step, spacing):
+    """The rational sampling of the grid oracle (test oracle): lattice nodes
+    inside each part plus boundary points at gauge spacing <= ``spacing``."""
+    out = []
+    for P in parts:
+        out.extend(P.vertices)
+        for e in P.edges():
+            if e.is_degenerate:
+                continue
+            glen = n.gauge(e.b - e.a)
+            m = rat_ceil(glen / spacing)
+            for j in range(1, m):
+                out.append(e.point_at(rat(j, m)))
+        xmin, xmax, ymin, ymax = P.bounding_box()
+        nodes = 0
+        for jy in range(rat_ceil(ymin / step), rat_floor(ymax / step) + 1):
+            y = step * jy
+            row = clip_segment(Segment(Point(xmin, y), Point(xmax, y)), P)
+            if row is None:
+                continue
+            lo, hi = row.a.x, row.b.x
+            if lo > hi:
+                lo, hi = hi, lo
+            for jx in range(rat_ceil(lo / step), rat_floor(hi / step) + 1):
+                out.append(Point(step * jx, y))
+                nodes += 1
+        if P.n >= 3 and nodes == 0:
+            raise ValueError("grid too coarse")
+    return out
+
+
+def fraction_finite_directed(S, T, n, step):
+    """max over s in S of min over t in T of gauge(s - t), by brute force.
+
+    Target points are bucketed on the sampling lattice and searched in
+    expanding Chebyshev rings; a ring at bucket distance k only holds points
+    at gauge distance >= (k-1) * step / mb, which prunes the scan exactly.
+    """
+    mb = max(max(abs(v.x), abs(v.y)) for v in n.unit_ball.vertices)
+    buckets: dict = {}
+    for t in T:
+        key = (rat_floor(t.x / step), rat_floor(t.y / step))
+        buckets.setdefault(key, []).append(t)
+    worst = R0
+    for s in S:
+        kx, ky = rat_floor(s.x / step), rat_floor(s.y / step)
+        best = None
+        k = 0
+        while True:
+            if best is not None and (k - 1) * step > best * mb:
+                break
+            ring = []
+            if k == 0:
+                ring.append((kx, ky))
+            else:
+                for dx in range(-k, k + 1):
+                    ring.append((kx + dx, ky - k))
+                    ring.append((kx + dx, ky + k))
+                for dy in range(-k + 1, k):
+                    ring.append((kx - k, ky + dy))
+                    ring.append((kx + k, ky + dy))
+            for key in ring:
+                for t in buckets.get(key, ()):
+                    d = n.gauge(s - t)
+                    if best is None or d < best:
+                        best = d
+            k += 1
+        if best > worst:
+            worst = best
+    return worst
+
+
+def fraction_grid_oracle(P, Q, n, step):
+    """The grid oracle's bracket on Fraction points and gauges (test oracle)."""
+    Ps = [P] if isinstance(P, ConvexPolygon) else list(P)
+    Qs = [Q] if isinstance(Q, ConvexPolygon) else list(Q)
+    cell = step * max(n.gauge(Point(R1, R1)), n.gauge(Point(R1, -R1)))
+    spacing = cell / 2
+    S = fraction_grid_samples(Ps, n, step, spacing)
+    T = fraction_grid_samples(Qs, n, step, spacing)
+    H = max(fraction_finite_directed(S, T, n, step), fraction_finite_directed(T, S, n, step))
+    err = cell / 2 + spacing / 2
+    return (max(R0, H - err), H + err)
+
+
 class TestGridOracle:
     def test_identical_sets(self):
         lo, hi = grid_oracle_hausdorff(A, A, N, rat(1, 8))
@@ -307,6 +393,38 @@ class TestGridOracle:
             exact = hausdorff(P, Q, N)
             lo, hi = grid_oracle_hausdorff(P, Q, N, rat(1, 16))
             assert lo <= exact <= hi
+
+    def test_integer_kernel_matches_fraction_kernel(self, rng):
+        shapes = {
+            "polygon": lambda: random_polygon(rng, lo=-1, hi=1),
+            "segment": lambda: ConvexPolygon.hull([random_point(rng, -1, 1), random_point(rng, -1, 1)]),
+            "point": lambda: ConvexPolygon.hull([random_point(rng, -1, 1)]),
+            "union": lambda: [random_polygon(rng, lo=-1, hi=1),
+                              random_polygon(rng, lo=-1, hi=1).translate(pt(rat(1, 2), rat(-1, 3)))],
+        }
+        pairs = (("polygon", "polygon"), ("segment", "polygon"), ("point", "segment"),
+                 ("polygon", "union"))
+        for n in (N, l1_norm(), random_hexagon_norm(rng), euclidean_approx(4).inner):
+            for a, b in pairs:
+                P, Q = shapes[a](), shapes[b]()
+                for step in (rat(1, 8), rat(1, 16)):
+                    assert grid_oracle_hausdorff(P, Q, n, step) == fraction_grid_oracle(P, Q, n, step)
+
+    def test_integer_samples_match_fraction_samples(self, rng):
+        # small denominators put vertices and edges on lattice nodes
+        shapes = [random_polygon(rng, lo=-1, hi=1, denom_max=4) for _ in range(6)]
+        shapes += [ConvexPolygon.hull(pts) for pts in (
+            [pt(-1, rat(1, 4)), pt(1, rat(1, 4))], [pt(rat(3, 8), -1), pt(rat(3, 8), 1)],
+            [pt(-1, -1), pt(1, rat(1, 2))], [pt(rat(1, 3), 0), pt(1, rat(2, 3))],
+            [pt(rat(1, 4), rat(-3, 4))], [pt(rat(1, 3), 0)])]
+        step = rat(1, 8)
+        for n in (N, l1_norm()):
+            for P in shapes:
+                boundary = continuity._boundary_samples(P, n, step / 3)
+                D = lcm(8, *(d for s in boundary for d in (s[1], s[3])))
+                got = continuity._grid_samples([P], [boundary], D, D // 8)
+                want = fraction_grid_samples([P], n, step, step / 3)
+                assert [Point(rat(X, D), rat(Y, D)) for X, Y in got] == want
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step must be positive"):

@@ -30,7 +30,22 @@ SQ = box(0, 0, 1, 1)
 
 
 def grid_points(P, step):
-    """All lattice points of pitch `step` inside-or-on P (test oracle)."""
+    """All lattice points of pitch `step` inside-or-on P (test oracle), row
+    by row over the row's exact x-range clipped from P."""
+    xmin, xmax, ymin, ymax = P.bounding_box()
+    out = []
+    for jy in range(rat_ceil(ymin / step), rat_floor(ymax / step) + 1):
+        y = step * jy
+        row = clip_segment(Segment(Point(xmin, y), Point(xmax, y)), P)
+        if row is None:
+            continue
+        lo, hi = sorted((row.a.x, row.b.x))
+        out.extend(Point(step * jx, y) for jx in range(rat_ceil(lo / step), rat_floor(hi / step) + 1))
+    return out
+
+
+def grid_points_per_node(P, step):
+    """grid_points by a membership test on every node of P's bounding box."""
     xmin, xmax, ymin, ymax = P.bounding_box()
     out = []
     for jy in range(rat_ceil(ymin / step), rat_floor(ymax / step) + 1):
@@ -134,6 +149,13 @@ class TestPointDistance:
 
     def test_l1_corner(self, l1):
         assert point_distance(pt(3, 3), SQ, l1).distance == 4
+
+    def test_grid_points_match_per_node_enumeration(self, rng):
+        shapes = [random_polygon(rng, lo=-2, hi=2) for _ in range(5)]
+        shapes += [ConvexPolygon.hull([pt(0, 0), pt(1, rat(1, 2))]), ConvexPolygon.hull([pt(0, 0), pt(0, 1)]),
+                   ConvexPolygon.hull([pt(rat(1, 4), rat(-1, 2))]), ConvexPolygon.hull([pt(rat(1, 3), 0)])]
+        for P in shapes:
+            assert grid_points(P, rat(1, 16)) == grid_points_per_node(P, rat(1, 16))
 
     def test_matches_grid_brute_force(self, rng, l1, linf):
         step = rat(1, 64)
